@@ -875,3 +875,173 @@ fn mc_exploration_replays_identically() {
         assert_eq!(va.reason, vb.reason);
     }
 }
+
+// ---------------------------------------------------------------------
+// Golden replay identity across ordering configurations.
+// ---------------------------------------------------------------------
+
+/// Everything deterministic a chaos run reports about its ordering and
+/// transport layers, condensed into one comparable tuple. Unlike the
+/// determinism tests above, which compare two runs of the same build,
+/// this tuple is pinned: any change to how an ordering configuration is
+/// installed or consulted must leave it byte-identical.
+#[derive(Debug, PartialEq, Eq)]
+struct ReplayIdentity {
+    fingerprint: u64,
+    messages_sent: u64,
+    messages_delivered: u64,
+    /// Total [`moc_abcast::LinkStats`], field by field in declaration order.
+    link: [u64; 8],
+    /// FNV-1a over every replica's view transcript, and the line count.
+    transcripts: (u64, usize),
+    /// Total [`moc_abcast::BatchStats`]: items stamped, batches flushed.
+    batch: (u64, u64),
+    commute_fast_applied: Vec<u64>,
+}
+
+impl ReplayIdentity {
+    fn of(report: &ChaosRunReport) -> Self {
+        let l = report.total_link_stats();
+        let b = report.total_batch_stats();
+        let text = report
+            .view_transcripts
+            .iter()
+            .map(|t| t.join("\n"))
+            .collect::<Vec<_>>()
+            .join("\n--\n");
+        ReplayIdentity {
+            fingerprint: report.fingerprint().expect("valid history"),
+            messages_sent: report.sim.messages_sent,
+            messages_delivered: report.sim.messages_delivered,
+            link: [
+                l.data_sent,
+                l.data_received,
+                l.delivered,
+                l.duplicates_discarded,
+                l.retransmissions,
+                l.acks_sent,
+                l.acks_received,
+                l.rejoins,
+            ],
+            transcripts: (
+                moc_core::shard::fnv1a(text.as_bytes()),
+                report.view_transcripts.iter().map(Vec::len).sum(),
+            ),
+            batch: (b.items_stamped, b.batches_flushed),
+            commute_fast_applied: report.commute_fast_applied.clone(),
+        }
+    }
+}
+
+/// One pinned run per ordering configuration: the fixed sequencer under
+/// drops and duplicates, the view-based broadcast through a leader
+/// crash, the conflict-sharded broadcast with three shards and a commute
+/// plan, and group-commit batching at `max_batch` 4. Each run must be
+/// clean and exercise its configuration (a view change, fast-path
+/// deliveries, batches of more than one item), and its identity tuple
+/// must match the pinned one exactly.
+#[test]
+fn ordering_configurations_replay_a_pinned_identity() {
+    // Fixed sequencer under a drop/dup plan.
+    let seed = 7;
+    let (num_objects, s) = sweep_scripts(WorkloadFamily::Mixed, seed);
+    let config = ChaosConfig::new(num_objects, seed)
+        .with_faults(FaultFamily::LossyDup.plan(PROCESSES, HORIZON_NS));
+    let fixed = run_chaos_cluster::<MscOverSequencer>(&config, s);
+    assert!(fixed.anomalies.is_clean(), "{:?}", fixed.anomalies);
+    assert!(fixed.sim.messages_dropped > 0 && fixed.sim.messages_duplicated > 0);
+
+    // View-based failover through a leader crash.
+    let view = run_leader_one::<MscOverView>(
+        FaultFamily::LeaderCrashBurst,
+        WorkloadFamily::Mixed,
+        seed,
+        Condition::MSequentialConsistency,
+    );
+    assert!(view.anomalies.is_clean(), "{:?}", view.anomalies);
+    assert!(
+        view.view_transcripts
+            .iter()
+            .flatten()
+            .any(|l| l.contains("install")),
+        "no view change: {:?}",
+        view.view_transcripts
+    );
+
+    // Conflict-sharded, three shards, with a commute plan.
+    let num_shards = 3;
+    let shard_plan = certified_plan(num_shards);
+    let commute_plan = certified_commute_cert(num_shards).delivery_plan(&shard_plan);
+    // A seed on which the commuting workload races its barriers, so the
+    // fast path engages on two replicas.
+    let sharded_seed = 16;
+    let mut rng = StdRng::seed_from_u64(sharded_seed);
+    let s = commuting_scripts(num_shards, num_shards, OPS_PER_PROCESS + 1, 1, &mut rng);
+    let config = ChaosConfig::new(2 * num_shards, sharded_seed)
+        .with_faults(FaultFamily::LossyDup.plan(num_shards, HORIZON_NS))
+        .with_shard_plan(shard_plan)
+        .with_commute_plan(commute_plan);
+    let sharded = run_chaos_cluster::<MscOverSharded>(&config, s);
+    assert!(sharded.anomalies.is_clean(), "{:?}", sharded.anomalies);
+    assert!(sharded.commute_fast_applied.iter().sum::<u64>() > 0);
+
+    // Group-commit batching at max_batch 4.
+    let (num_objects, s) = sweep_scripts(WorkloadFamily::WriteHeavy, seed);
+    let config = ChaosConfig::new(num_objects, seed)
+        .with_faults(FaultFamily::LossyDup.plan(PROCESSES, HORIZON_NS))
+        .with_batching(moc_abcast::BatchConfig {
+            max_batch: 4,
+            max_delay_ns: 20_000,
+        });
+    let batched = run_chaos_cluster::<MscOverSequencer>(&config, s);
+    assert!(batched.anomalies.is_clean(), "{:?}", batched.anomalies);
+    assert!(batched.total_batch_stats().occupancy() > 1.0);
+
+    let got: Vec<ReplayIdentity> = [&fixed, &view, &sharded, &batched]
+        .into_iter()
+        .map(ReplayIdentity::of)
+        .collect();
+    let pinned = vec![
+        // Fixed sequencer, LossyDup.
+        ReplayIdentity {
+            fingerprint: 5669651195716652114,
+            messages_sent: 77,
+            messages_delivered: 67,
+            link: [28, 37, 28, 9, 12, 37, 30, 0],
+            transcripts: (6509613464523537305, 0),
+            batch: (7, 7),
+            commute_fast_applied: vec![0, 0, 0],
+        },
+        // View-based broadcast, LeaderCrashBurst.
+        ReplayIdentity {
+            fingerprint: 749409179203730594,
+            messages_sent: 109,
+            messages_delivered: 101,
+            link: [46, 49, 46, 3, 10, 51, 50, 2],
+            transcripts: (4179445208809567651, 7),
+            batch: (8, 8),
+            commute_fast_applied: vec![0, 0, 0],
+        },
+        // Three shards plus a commute plan, LossyDup.
+        ReplayIdentity {
+            fingerprint: 2434111157547192111,
+            messages_sent: 205,
+            messages_delivered: 168,
+            link: [72, 94, 72, 22, 39, 94, 74, 0],
+            transcripts: (6509613464523537305, 0),
+            batch: (18, 18),
+            commute_fast_applied: vec![0, 1, 1],
+        },
+        // Batched at max_batch 4, LossyDup.
+        ReplayIdentity {
+            fingerprint: 10788352114453550409,
+            messages_sent: 75,
+            messages_delivered: 65,
+            link: [29, 33, 29, 4, 13, 33, 32, 0],
+            transcripts: (6509613464523537305, 0),
+            batch: (8, 7),
+            commute_fast_applied: vec![0, 0, 0],
+        },
+    ];
+    assert_eq!(got, pinned);
+}
