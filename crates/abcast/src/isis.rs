@@ -22,7 +22,7 @@ use std::collections::HashMap;
 
 use moc_core::ids::ProcessId;
 
-use crate::{Abcast, Delivery, Outbox};
+use crate::{Abcast, Delivery, OrderingConfig, Outbox};
 
 /// A Lamport timestamp: logical clock plus proposer id as tiebreak.
 pub type LamportTs = (u64, u32);
@@ -123,7 +123,7 @@ impl<T> IsisAbcast<T> {
 impl<T: Clone + std::fmt::Debug> Abcast<T> for IsisAbcast<T> {
     type Msg = IsisMsg<T>;
 
-    fn new(me: ProcessId, n: usize) -> Self {
+    fn new(me: ProcessId, n: usize, _cfg: &OrderingConfig) -> Self {
         IsisAbcast {
             me,
             n,
@@ -210,8 +210,8 @@ mod tests {
     #[test]
     fn single_broadcast_roundtrip() {
         let n = 2;
-        let mut a: IsisAbcast<u8> = IsisAbcast::new(pid(0), n);
-        let mut b: IsisAbcast<u8> = IsisAbcast::new(pid(1), n);
+        let mut a: IsisAbcast<u8> = IsisAbcast::new(pid(0), n, &OrderingConfig::default());
+        let mut b: IsisAbcast<u8> = IsisAbcast::new(pid(1), n, &OrderingConfig::default());
         let mut out = Outbox::new(n);
 
         a.broadcast(42, &mut out);
@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn finalized_message_waits_for_smaller_pending() {
         let n = 3;
-        let mut c: IsisAbcast<u8> = IsisAbcast::new(pid(2), n);
+        let mut c: IsisAbcast<u8> = IsisAbcast::new(pid(2), n, &OrderingConfig::default());
         let mut out = Outbox::new(n);
         // m1 proposed first (smaller local clock), not finalized.
         c.on_message(

@@ -36,7 +36,9 @@
 
 use std::fmt;
 
+use moc_core::commute::CommutePlan;
 use moc_core::ids::ProcessId;
+use moc_core::shard::ShardPlan;
 
 pub mod isis;
 pub mod link;
@@ -145,6 +147,33 @@ impl BatchConfig {
     }
 }
 
+/// The ordering configuration of an endpoint, fixed at construction
+/// ([`Abcast::new`]). The default is an unconfigured endpoint: the
+/// backend's own failover timeouts, no shard partition, no commute plan,
+/// and batching off. Each backend reads only the fields it uses.
+#[derive(Debug, Clone, Default)]
+pub struct OrderingConfig {
+    /// Failover suspicion timeouts `(base_ns, max_ns)`: the base and cap
+    /// of the exponential backoff. `None` keeps the backend's default.
+    /// Only backends with failover ([`ViewAbcast`]) read it.
+    pub failover: Option<(u64, u64)>,
+    /// A certified shard partition. Only the conflict-sharded backend
+    /// ([`ShardedAbcast`]) reads it.
+    pub shard_plan: Option<ShardPlan>,
+    /// The delivery-time view of a certified commutativity analysis.
+    /// Only [`ShardedAbcast`] reads it: cross-shard items skip the
+    /// barrier frontiers of shards they provably commute with, and items
+    /// with an empty write footprint self-deliver without sequencer
+    /// stamping. Its soundness is exactly the certificate's, so pass only
+    /// plans derived from an audited `moc-commute-cert`, over the same
+    /// partition as `shard_plan`.
+    pub commute_plan: Option<CommutePlan>,
+    /// Group-commit batching for stamping backends. Stamps are still
+    /// assigned at submission arrival, so the agreed delivery order is
+    /// unchanged at any batch size.
+    pub batch: BatchConfig,
+}
+
 /// Stamping-side batching counters: how many items an endpoint stamped
 /// and how many wire flushes carried them. Occupancy = items / flushes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -193,8 +222,10 @@ pub trait Abcast<T> {
     /// Wire message type.
     type Msg: Clone + fmt::Debug;
 
-    /// Creates the endpoint for process `me` in a system of `n` processes.
-    fn new(me: ProcessId, n: usize) -> Self;
+    /// Creates the endpoint for process `me` in a system of `n`
+    /// processes, configured once and for all by `cfg`. Every endpoint of
+    /// one system must get the same configuration.
+    fn new(me: ProcessId, n: usize, cfg: &OrderingConfig) -> Self;
 
     /// Atomically broadcasts `item` to all processes (including `me`).
     fn broadcast(&mut self, item: T, out: &mut Outbox<Self::Msg>);
@@ -228,26 +259,6 @@ pub trait Abcast<T> {
     /// needed.
     fn on_restart(&mut self, _now_ns: u64, _out: &mut Outbox<Self::Msg>) {}
 
-    /// Overrides the endpoint's failover timeouts (suspicion base and
-    /// cap, in ns). A no-op for protocols without failover machinery.
-    fn set_failover_timeouts(&mut self, _base_ns: u64, _max_ns: u64) {}
-
-    /// Installs a certified shard partition ([`moc_core::shard::ShardPlan`]).
-    /// Only conflict-sharded implementations ([`ShardedAbcast`]) react;
-    /// single-order protocols ignore it. Must be called uniformly on every
-    /// endpoint before any traffic flows.
-    fn set_shard_plan(&mut self, _plan: moc_core::shard::ShardPlan) {}
-
-    /// Installs the delivery-time view of a certified commutativity
-    /// analysis ([`moc_core::commute::CommutePlan`]). Only the
-    /// conflict-sharded implementation reacts: cross-shard items skip the
-    /// barrier frontiers of shards they provably commute with, and items
-    /// with an empty write footprint self-deliver without sequencer
-    /// stamping. Must be installed uniformly before any traffic flows;
-    /// soundness is exactly the certificate's — install only plans
-    /// derived from an audited `moc-commute-cert`.
-    fn set_commute_plan(&mut self, _plan: moc_core::commute::CommutePlan) {}
-
     /// How many deliveries so far bypassed an ordering wait via the
     /// commute plan (zero for protocols without the fast path).
     fn commute_fast_applied(&self) -> u64 {
@@ -271,13 +282,6 @@ pub trait Abcast<T> {
     fn private_channel(&self) -> Option<u32> {
         None
     }
-
-    /// Installs a group-commit batching configuration ([`BatchConfig`]).
-    /// Only stamping protocols with a batched fan-out react; the default
-    /// ignores it. Stamps are still assigned at submission arrival, so
-    /// the agreed delivery order is unchanged at any batch size. Must be
-    /// installed uniformly before any traffic flows.
-    fn set_batching(&mut self, _cfg: BatchConfig) {}
 
     /// Stamping-side batching counters for this endpoint (zeros for
     /// protocols without batched stamping, and for pure followers).
@@ -311,7 +315,7 @@ pub mod testkit {
     impl<A: Abcast<u64>> AbcastNode<A> {
         pub fn new(me: ProcessId, n: usize) -> Self {
             AbcastNode {
-                inner: A::new(me, n),
+                inner: A::new(me, n, &OrderingConfig::default()),
                 delivered: Vec::new(),
                 n,
             }

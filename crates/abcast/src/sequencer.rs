@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use moc_core::ids::ProcessId;
 
-use crate::{Abcast, BatchConfig, BatchStats, Delivery, Outbox};
+use crate::{Abcast, BatchConfig, BatchStats, Delivery, OrderingConfig, Outbox};
 
 /// Wire messages of the sequencer protocol.
 #[derive(Debug, Clone)]
@@ -153,7 +153,7 @@ impl<T> SequencerAbcast<T> {
 impl<T: Clone + std::fmt::Debug> Abcast<T> for SequencerAbcast<T> {
     type Msg = SequencerMsg<T>;
 
-    fn new(me: ProcessId, _n: usize) -> Self {
+    fn new(me: ProcessId, _n: usize, cfg: &OrderingConfig) -> Self {
         SequencerAbcast {
             me,
             sequencer: Self::SEQUENCER,
@@ -163,7 +163,7 @@ impl<T: Clone + std::fmt::Debug> Abcast<T> for SequencerAbcast<T> {
             delivered: Vec::new(),
             delivered_count: 0,
             halted: false,
-            batch: BatchConfig::default(),
+            batch: cfg.batch,
             pending: Vec::new(),
             pending_first: 0,
             batch_deadline: None,
@@ -281,14 +281,6 @@ impl<T: Clone + std::fmt::Debug> Abcast<T> for SequencerAbcast<T> {
         }
     }
 
-    fn set_batching(&mut self, cfg: BatchConfig) {
-        debug_assert!(
-            self.next_to_assign == 0 && self.delivered_count == 0,
-            "batching must be configured before any traffic"
-        );
-        self.batch = cfg;
-    }
-
     fn batch_stats(&self) -> BatchStats {
         self.stats
     }
@@ -333,8 +325,10 @@ mod tests {
     #[test]
     fn out_of_order_stamps_are_buffered() {
         let n = 2;
-        let mut seqr: SequencerAbcast<u8> = SequencerAbcast::new(pid(0), n);
-        let mut follower: SequencerAbcast<u8> = SequencerAbcast::new(pid(1), n);
+        let mut seqr: SequencerAbcast<u8> =
+            SequencerAbcast::new(pid(0), n, &OrderingConfig::default());
+        let mut follower: SequencerAbcast<u8> =
+            SequencerAbcast::new(pid(1), n, &OrderingConfig::default());
         let mut out = Outbox::new(n);
 
         // Two submissions reach the sequencer.
@@ -388,8 +382,10 @@ mod tests {
     #[test]
     fn restarted_sequencer_fail_stops_instead_of_restamping() {
         let n = 2;
-        let mut seqr: SequencerAbcast<u8> = SequencerAbcast::new(pid(0), n);
-        let mut follower: SequencerAbcast<u8> = SequencerAbcast::new(pid(1), n);
+        let mut seqr: SequencerAbcast<u8> =
+            SequencerAbcast::new(pid(0), n, &OrderingConfig::default());
+        let mut follower: SequencerAbcast<u8> =
+            SequencerAbcast::new(pid(1), n, &OrderingConfig::default());
         let mut out = Outbox::new(n);
 
         // One item is stamped and delivered everywhere before the crash.
@@ -444,12 +440,16 @@ mod tests {
     #[test]
     fn size_threshold_flushes_one_batch_frame() {
         let n = 2;
-        let mut seqr: SequencerAbcast<u8> = SequencerAbcast::new(pid(0), n);
-        seqr.set_batching(BatchConfig {
-            max_batch: 3,
-            max_delay_ns: 1_000_000,
-        });
-        let mut follower: SequencerAbcast<u8> = SequencerAbcast::new(pid(1), n);
+        let cfg = OrderingConfig {
+            batch: BatchConfig {
+                max_batch: 3,
+                max_delay_ns: 1_000_000,
+            },
+            ..OrderingConfig::default()
+        };
+        let mut seqr: SequencerAbcast<u8> = SequencerAbcast::new(pid(0), n, &cfg);
+        let mut follower: SequencerAbcast<u8> =
+            SequencerAbcast::new(pid(1), n, &OrderingConfig::default());
         let mut out = Outbox::new(n);
         for item in [10, 20] {
             seqr.on_message(
@@ -496,11 +496,14 @@ mod tests {
     #[test]
     fn partial_batch_flushes_at_the_deadline() {
         let n = 2;
-        let mut seqr: SequencerAbcast<u8> = SequencerAbcast::new(pid(0), n);
-        seqr.set_batching(BatchConfig {
-            max_batch: 64,
-            max_delay_ns: 500,
-        });
+        let cfg = OrderingConfig {
+            batch: BatchConfig {
+                max_batch: 64,
+                max_delay_ns: 500,
+            },
+            ..OrderingConfig::default()
+        };
+        let mut seqr: SequencerAbcast<u8> = SequencerAbcast::new(pid(0), n, &cfg);
         let mut out = Outbox::new(n);
         seqr.on_message(
             pid(1),
@@ -533,7 +536,8 @@ mod tests {
     #[test]
     fn duplicate_batch_frames_are_idempotent() {
         let n = 2;
-        let mut follower: SequencerAbcast<u8> = SequencerAbcast::new(pid(1), n);
+        let mut follower: SequencerAbcast<u8> =
+            SequencerAbcast::new(pid(1), n, &OrderingConfig::default());
         let batch = SequencerMsg::OrderedBatch {
             first_seq: 0,
             items: vec![(pid(1), 10), (pid(1), 20)],
@@ -548,7 +552,8 @@ mod tests {
 
     #[test]
     fn broadcast_routes_to_sequencer() {
-        let mut a: SequencerAbcast<u8> = SequencerAbcast::new(pid(2), 3);
+        let mut a: SequencerAbcast<u8> =
+            SequencerAbcast::new(pid(2), 3, &OrderingConfig::default());
         let mut out = Outbox::new(3);
         a.broadcast(5, &mut out);
         let msgs = out.drain();

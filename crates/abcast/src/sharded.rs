@@ -52,8 +52,8 @@
 //!
 //! ## Commutativity fast paths
 //!
-//! An audited `moc-commute-cert` can be installed as a delivery-time
-//! [`CommutePlan`] ([`Abcast::set_commute_plan`]), enabling two
+//! An audited `moc-commute-cert` can be passed in as a delivery-time
+//! [`CommutePlan`] ([`OrderingConfig::commute_plan`]), enabling two
 //! out-of-order shortcuts the certificate proves harmless:
 //!
 //! * **Barrier skipping** — a global item need only wait for the barrier
@@ -61,13 +61,13 @@
 //!   where the plan shows the item writes nothing `s`'s programs may
 //!   touch and touches nothing they may write, both relative orders
 //!   yield identical states, so the frontier check is skipped.
-//! * **Read-only self-delivery** — an item whose [`write_footprint`]
-//!   [`Footprinted::write_footprint`] is empty changes no replica state,
-//!   so it is applied locally at submission, without sequencer stamping
-//!   or any messages at all. Such deliveries are **replica-private**:
-//!   they appear only in the issuing endpoint's merged order, on a
-//!   pseudo-channel one past the global channel, and are excluded from
-//!   the cross-replica channel-agreement property.
+//! * **Read-only self-delivery** — an item whose
+//!   [`write_footprint`](Footprinted::write_footprint) is empty changes
+//!   no replica state, so it is applied locally at submission, without
+//!   sequencer stamping or any messages at all. Such deliveries are
+//!   **replica-private**: they appear only in the issuing endpoint's
+//!   merged order, on a pseudo-channel one past the global channel, and
+//!   are excluded from the cross-replica channel-agreement property.
 //!
 //! Installing a plan that *overclaims* commutation (see
 //! [`CommutePlan::vacuous`]) re-creates exactly the divergence the
@@ -82,7 +82,7 @@ use moc_core::ids::{ObjectId, ProcessId};
 use moc_core::shard::{Footprinted, Route, ShardPlan};
 
 use crate::sequencer::{SequencerAbcast, SequencerMsg};
-use crate::{Abcast, BatchConfig, BatchStats, Delivery, Outbox};
+use crate::{Abcast, BatchStats, Delivery, OrderingConfig, Outbox};
 
 /// Items carried inside a shard channel: real payloads and the barrier
 /// markers that pin global items into the shard's order.
@@ -106,13 +106,12 @@ pub struct ShardedMsg<T> {
 
 /// One process's endpoint of the conflict-sharded broadcast.
 ///
-/// Degenerate until [`Abcast::set_shard_plan`] installs a partition: with
-/// no plan there is a single global channel and the protocol behaves like
-/// a plain [`SequencerAbcast`].
+/// Degenerate unless [`OrderingConfig::shard_plan`] carries a partition:
+/// with no plan there is a single global channel and the protocol behaves
+/// like a plain [`SequencerAbcast`].
 #[derive(Debug, Clone)]
 pub struct ShardedAbcast<T> {
     me: ProcessId,
-    n: usize,
     plan: Option<ShardPlan>,
     /// Delivery-time view of an audited commute certificate; gates the
     /// out-of-order fast paths. `None` disables both.
@@ -133,9 +132,6 @@ pub struct ShardedAbcast<T> {
     merged_count: u64,
     /// Channel index of each merged delivery, cumulatively.
     channel_trace: Vec<u32>,
-    /// Group-commit configuration, propagated into every ordering
-    /// channel (including channels created by a later shard plan).
-    batch: BatchConfig,
 }
 
 impl<T: Clone + fmt::Debug + Footprinted> ShardedAbcast<T> {
@@ -149,7 +145,7 @@ impl<T: Clone + fmt::Debug + Footprinted> ShardedAbcast<T> {
         (self.channels.len() - 1) as u32
     }
 
-    /// The installed shard plan, if any.
+    /// The shard plan this endpoint was built with, if any.
     pub fn plan(&self) -> Option<&ShardPlan> {
         self.plan.as_ref()
     }
@@ -317,59 +313,46 @@ impl<T: Clone + fmt::Debug + Footprinted> ShardedAbcast<T> {
 impl<T: Clone + fmt::Debug + Footprinted> Abcast<T> for ShardedAbcast<T> {
     type Msg = ShardedMsg<T>;
 
-    fn new(me: ProcessId, n: usize) -> Self {
+    /// Builds one sequencer channel per shard of `cfg.shard_plan` plus
+    /// the global channel, all batching per `cfg.batch`.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.commute_plan` was derived for a different number of shards
+    /// than `cfg.shard_plan` has: consulting it against the wrong
+    /// partition could skip a barrier the certificate never licensed.
+    fn new(me: ProcessId, n: usize, cfg: &OrderingConfig) -> Self {
+        let shards = cfg
+            .shard_plan
+            .as_ref()
+            .map_or(0, |p| p.num_shards() as usize);
+        if let Some(cp) = &cfg.commute_plan {
+            assert_eq!(
+                cp.num_shards(),
+                shards,
+                "commute plan must cover the same number of shards as the shard plan"
+            );
+        }
         ShardedAbcast {
             me,
-            n,
-            plan: None,
-            commute: None,
+            plan: cfg.shard_plan.clone(),
+            commute: cfg.commute_plan.clone(),
             fast_applied: 0,
-            channels: vec![SequencerAbcast::new(me, n)],
-            pending: vec![VecDeque::new()],
-            barrier_front: Vec::new(),
+            // Shard `s` is sequenced by process `(s + 1) mod n`; the
+            // global channel (the last) by process 0.
+            channels: (0..=shards)
+                .map(|c| {
+                    let seqr = if c == shards { 0 } else { (c + 1) % n };
+                    SequencerAbcast::new(me, n, cfg).with_sequencer(ProcessId::new(seqr as u32))
+                })
+                .collect(),
+            pending: (0..=shards).map(|_| VecDeque::new()).collect(),
+            barrier_front: vec![0; shards],
             global_applied: 0,
             merged: Vec::new(),
             merged_count: 0,
             channel_trace: Vec::new(),
-            batch: BatchConfig::default(),
         }
-    }
-
-    fn set_shard_plan(&mut self, plan: ShardPlan) {
-        debug_assert!(
-            self.merged_count == 0 && self.channels.iter().all(|c| c.delivered_count() == 0),
-            "shard plan must be installed before any traffic"
-        );
-        let shards = plan.num_shards() as usize;
-        let batch = self.batch;
-        self.channels = (0..=shards)
-            .map(|c| {
-                let seqr = if c == shards {
-                    ProcessId::new(0)
-                } else {
-                    ProcessId::new(((c + 1) % self.n) as u32)
-                };
-                let mut ch = SequencerAbcast::new(self.me, self.n).with_sequencer(seqr);
-                ch.set_batching(batch);
-                ch
-            })
-            .collect();
-        self.pending = (0..=shards).map(|_| VecDeque::new()).collect();
-        self.barrier_front = vec![0; shards];
-        self.plan = Some(plan);
-    }
-
-    fn set_commute_plan(&mut self, plan: CommutePlan) {
-        debug_assert!(
-            self.merged_count == 0 && self.channels.iter().all(|c| c.delivered_count() == 0),
-            "commute plan must be installed before any traffic"
-        );
-        debug_assert_eq!(
-            plan.num_shards(),
-            self.num_shards(),
-            "commute plan must match the installed shard partition"
-        );
-        self.commute = Some(plan);
     }
 
     fn commute_fast_applied(&self) -> u64 {
@@ -431,13 +414,6 @@ impl<T: Clone + fmt::Debug + Footprinted> Abcast<T> for ShardedAbcast<T> {
             self.after_step(c, out);
         }
         self.merge();
-    }
-
-    fn set_batching(&mut self, cfg: BatchConfig) {
-        self.batch = cfg;
-        for ch in &mut self.channels {
-            ch.set_batching(cfg);
-        }
     }
 
     fn batch_stats(&self) -> BatchStats {
@@ -552,15 +528,8 @@ mod tests {
             plan: Option<ShardPlan>,
             commute: Option<CommutePlan>,
         ) -> Self {
-            let mut inner = ShardedAbcast::new(me, n);
-            if let Some(p) = plan {
-                inner.set_shard_plan(p);
-            }
-            if let Some(cp) = commute {
-                inner.set_commute_plan(cp);
-            }
             ShardNode {
-                inner,
+                inner: endpoint(me, n, plan, commute),
                 delivered: Vec::new(),
                 n,
             }
@@ -597,6 +566,20 @@ mod tests {
             }
             self.drain();
         }
+    }
+
+    fn endpoint(
+        me: ProcessId,
+        n: usize,
+        shard_plan: Option<ShardPlan>,
+        commute_plan: Option<CommutePlan>,
+    ) -> ShardedAbcast<Item> {
+        let cfg = OrderingConfig {
+            shard_plan,
+            commute_plan,
+            ..OrderingConfig::default()
+        };
+        ShardedAbcast::new(me, n, &cfg)
     }
 
     /// Two shards: objects {0,1} and {2,3}.
@@ -783,8 +766,7 @@ mod tests {
 
     #[test]
     fn shard_sequencers_are_distributed() {
-        let mut a: ShardedAbcast<Item> = ShardedAbcast::new(ProcessId::new(0), 3);
-        a.set_shard_plan(two_shard_plan());
+        let mut a = endpoint(ProcessId::new(0), 3, Some(two_shard_plan()), None);
         assert_eq!(a.num_channels(), 3);
         assert_eq!(a.global_channel(), 2);
         // Shard 0 → P1, shard 1 → P2, global → P0: submissions route there.
@@ -857,9 +839,8 @@ mod tests {
     #[test]
     fn read_only_items_self_deliver_without_messages() {
         let plan = two_shard_plan();
-        let mut a: ShardedAbcast<Item> = ShardedAbcast::new(ProcessId::new(1), 3);
-        a.set_shard_plan(plan.clone());
-        a.set_commute_plan(commute_plan_for(&plan));
+        let commute = commute_plan_for(&plan);
+        let mut a = endpoint(ProcessId::new(1), 3, Some(plan), Some(commute));
         let mut out = Outbox::new(3);
         a.broadcast(read_item(7, &[0, 1]), &mut out);
         assert!(out.is_empty(), "read-only items send nothing");
@@ -870,8 +851,7 @@ mod tests {
         assert_eq!(a.commute_fast_applied(), 1);
 
         // Without a commute plan the same item is stamped normally.
-        let mut b: ShardedAbcast<Item> = ShardedAbcast::new(ProcessId::new(1), 3);
-        b.set_shard_plan(two_shard_plan());
+        let mut b = endpoint(ProcessId::new(1), 3, Some(two_shard_plan()), None);
         let mut out = Outbox::new(3);
         b.broadcast(read_item(8, &[0, 1]), &mut out);
         assert!(!out.is_empty(), "no certificate, no fast path");
@@ -944,12 +924,41 @@ mod tests {
 
     #[test]
     fn restarted_shard_sequencer_halts_only_its_channel() {
-        let mut a: ShardedAbcast<Item> = ShardedAbcast::new(ProcessId::new(1), 3);
-        a.set_shard_plan(two_shard_plan());
+        let mut a = endpoint(ProcessId::new(1), 3, Some(two_shard_plan()), None);
         let mut out = Outbox::new(3);
         a.on_restart(1_000, &mut out);
         // P1 sequences shard channel 0 only.
         assert_eq!(a.halted_channels(), vec![0]);
         assert!(!a.transcript().is_empty());
+    }
+
+    /// A commute plan is consulted per shard index, so one derived for a
+    /// different number of shards is refused at construction: with fewer shards
+    /// the lookup would run out of bounds mid-run, with more it would
+    /// answer for the wrong shards and could skip a barrier.
+    #[test]
+    #[should_panic(
+        expected = "commute plan must cover the same number of shards as the shard plan"
+    )]
+    fn commute_plan_with_fewer_shards_is_refused() {
+        endpoint(
+            ProcessId::new(0),
+            3,
+            Some(two_shard_plan()),
+            Some(CommutePlan::vacuous(1)),
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "commute plan must cover the same number of shards as the shard plan"
+    )]
+    fn commute_plan_with_more_shards_is_refused() {
+        endpoint(
+            ProcessId::new(0),
+            3,
+            Some(two_shard_plan()),
+            Some(CommutePlan::vacuous(3)),
+        );
     }
 }

@@ -52,7 +52,7 @@ use std::fmt;
 
 use moc_core::ids::ProcessId;
 
-use crate::{Abcast, BatchConfig, BatchStats, Delivery, Outbox};
+use crate::{Abcast, BatchConfig, BatchStats, Delivery, OrderingConfig, Outbox};
 
 /// Failover-timing knobs (virtual or real nanoseconds — the protocol
 /// only compares them against the host-provided clock).
@@ -678,11 +678,16 @@ impl<T: Clone + fmt::Debug> ViewAbcast<T> {
 impl<T: Clone + fmt::Debug> Abcast<T> for ViewAbcast<T> {
     type Msg = ViewMsg<T>;
 
-    fn new(me: ProcessId, n: usize) -> Self {
+    fn new(me: ProcessId, n: usize, cfg: &OrderingConfig) -> Self {
         ViewAbcast {
             me,
             n,
-            cfg: ViewConfig::default(),
+            cfg: cfg
+                .failover
+                .map_or_else(ViewConfig::default, |(base_ns, max_ns)| ViewConfig {
+                    suspect_timeout_ns: base_ns.max(1),
+                    max_suspect_timeout_ns: max_ns.max(base_ns.max(1)),
+                }),
             view: 0,
             promised: 0,
             vc_target: None,
@@ -702,7 +707,7 @@ impl<T: Clone + fmt::Debug> Abcast<T> for ViewAbcast<T> {
             backoff_exp: 0,
             watermark: (0, 0, 0, 0),
             transcript: Vec::new(),
-            batch: BatchConfig::default(),
+            batch: cfg.batch,
             fan_pending: Vec::new(),
             fan_first: 0,
             batch_deadline: None,
@@ -922,23 +927,8 @@ impl<T: Clone + fmt::Debug> Abcast<T> for ViewAbcast<T> {
             .push(format!("P{}: restart in v{}", self.me.as_u32(), self.view));
     }
 
-    fn set_batching(&mut self, cfg: BatchConfig) {
-        debug_assert!(
-            self.next_slot == 0 && self.delivered_count == 0 && self.next_oseq == 0,
-            "batching must be configured before any traffic"
-        );
-        self.batch = cfg;
-    }
-
     fn batch_stats(&self) -> BatchStats {
         self.batch_stats
-    }
-
-    fn set_failover_timeouts(&mut self, base_ns: u64, max_ns: u64) {
-        self.cfg = ViewConfig {
-            suspect_timeout_ns: base_ns.max(1),
-            max_suspect_timeout_ns: max_ns.max(base_ns.max(1)),
-        };
     }
 
     fn transcript(&self) -> Vec<String> {
@@ -1023,8 +1013,12 @@ mod tests {
     }
 
     fn cluster(n: usize) -> (Vec<ViewAbcast<u64>>, Net) {
+        cluster_with(n, &OrderingConfig::default())
+    }
+
+    fn cluster_with(n: usize, cfg: &OrderingConfig) -> (Vec<ViewAbcast<u64>>, Net) {
         let nodes = (0..n)
-            .map(|p| ViewAbcast::new(pid(p as u32), n))
+            .map(|p| ViewAbcast::new(pid(p as u32), n, cfg))
             .collect::<Vec<_>>();
         (nodes, Net::new(n))
     }
@@ -1161,7 +1155,7 @@ mod tests {
 
     #[test]
     fn deadline_is_requested_only_when_business_pends() {
-        let mut a: ViewAbcast<u64> = ViewAbcast::new(pid(1), 3);
+        let mut a: ViewAbcast<u64> = ViewAbcast::new(pid(1), 3, &OrderingConfig::default());
         assert_eq!(a.next_deadline(), None);
         let mut out = Outbox::new(3);
         a.broadcast(7, &mut out);
@@ -1175,8 +1169,11 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let mut a: ViewAbcast<u64> = ViewAbcast::new(pid(2), 3);
-        a.set_failover_timeouts(100, 350);
+        let cfg = OrderingConfig {
+            failover: Some((100, 350)),
+            ..OrderingConfig::default()
+        };
+        let mut a: ViewAbcast<u64> = ViewAbcast::new(pid(2), 3, &cfg);
         let mut out = Outbox::new(3);
         a.broadcast(1, &mut out);
         let mut now = 10;
@@ -1192,11 +1189,14 @@ mod tests {
 
     #[test]
     fn leader_batches_fan_out_into_one_frame() {
-        let (mut nodes, mut net) = cluster(2);
-        nodes[0].set_batching(BatchConfig {
-            max_batch: 2,
-            max_delay_ns: 1_000_000,
-        });
+        let cfg = OrderingConfig {
+            batch: BatchConfig {
+                max_batch: 2,
+                max_delay_ns: 1_000_000,
+            },
+            ..OrderingConfig::default()
+        };
+        let (mut nodes, mut net) = cluster_with(2, &cfg);
         // First submission stamps a slot but defers the fan-out.
         let mut out = Outbox::new(2);
         nodes[0].broadcast(10, &mut out);
@@ -1236,11 +1236,14 @@ mod tests {
 
     #[test]
     fn partial_fan_flushes_at_the_deadline() {
-        let (mut nodes, mut net) = cluster(2);
-        nodes[0].set_batching(BatchConfig {
-            max_batch: 8,
-            max_delay_ns: 500,
-        });
+        let cfg = OrderingConfig {
+            batch: BatchConfig {
+                max_batch: 8,
+                max_delay_ns: 500,
+            },
+            ..OrderingConfig::default()
+        };
+        let (mut nodes, mut net) = cluster_with(2, &cfg);
         submit(&mut nodes, &mut net, 0, 10);
         assert_eq!(net.settle(&mut nodes), 0, "batch pends, wire is quiet");
         net.tick_all(&mut nodes, 100); // arms the flush window

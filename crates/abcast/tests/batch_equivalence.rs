@@ -22,7 +22,8 @@ use std::collections::VecDeque;
 
 use moc_abcast::sequencer::SequencerMsg;
 use moc_abcast::{
-    Abcast, BatchConfig, Outbox, SequencerAbcast, ShardedAbcast, ShardedMsg, ViewAbcast, ViewMsg,
+    Abcast, BatchConfig, OrderingConfig, Outbox, SequencerAbcast, ShardedAbcast, ShardedMsg,
+    ViewAbcast, ViewMsg,
 };
 use moc_core::ids::{ObjectId, ProcessId};
 use moc_core::shard::{Footprinted, ShardPlan};
@@ -57,6 +58,17 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// `cfg` with group-commit batching switched on.
+fn batched(cfg: &OrderingConfig, max_batch: usize, max_delay_ns: u64) -> OrderingConfig {
+    OrderingConfig {
+        batch: BatchConfig {
+            max_batch,
+            max_delay_ns,
+        },
+        ..cfg.clone()
+    }
+}
+
 /// One delivered record: (channel, origin, item id).
 type Rec = (u32, u32, u64);
 
@@ -71,19 +83,14 @@ struct Outcome {
 fn run_cluster<A: Abcast<Item>>(
     n: usize,
     waves: &[Vec<(usize, Item)>],
-    batch: BatchConfig,
+    cfg: &OrderingConfig,
     dup_seed: u64,
-    setup: &dyn Fn(&mut A),
     is_submission: &dyn Fn(&A::Msg) -> bool,
 ) -> Outcome
 where
     A::Msg: Clone,
 {
-    let mut nodes: Vec<A> = (0..n).map(|p| A::new(pid(p), n)).collect();
-    for node in &mut nodes {
-        setup(node);
-        node.set_batching(batch);
-    }
+    let mut nodes: Vec<A> = (0..n).map(|p| A::new(pid(p), n, cfg)).collect();
     let mut subq: Vec<Vec<VecDeque<A::Msg>>> = (0..n)
         .map(|_| (0..n).map(|_| VecDeque::new()).collect())
         .collect();
@@ -281,12 +288,12 @@ proptest! {
         dup_seed in any::<u64>(),
     ) {
         let (waves, _) = build_waves(n, &raw);
-        let setup = |_: &mut SequencerAbcast<Item>| {};
+        let cfg = OrderingConfig::default();
         let class = |m: &SequencerMsg<Item>| matches!(m, SequencerMsg::Submit { .. });
         let base = run_cluster::<SequencerAbcast<Item>>(
-            n, &waves, BatchConfig::default(), dup_seed, &setup, &class);
+            n, &waves, &cfg, dup_seed, &class);
         let batched = run_cluster::<SequencerAbcast<Item>>(
-            n, &waves, BatchConfig { max_batch, max_delay_ns }, dup_seed, &setup, &class);
+            n, &waves, &batched(&cfg, max_batch, max_delay_ns), dup_seed, &class);
         for p in 0..n {
             prop_assert_eq!(base.seqs[p].len(), total(&raw), "validity at P{}", p);
             prop_assert_eq!(&base.seqs[p], &batched.seqs[p],
@@ -306,12 +313,15 @@ proptest! {
         let (waves, _) = build_waves(n, &raw);
         // Push crash suspicion far out of the virtual horizon: this suite
         // isolates batching; failover interplay belongs to the chaos sweep.
-        let setup = |a: &mut ViewAbcast<Item>| a.set_failover_timeouts(1 << 40, 1 << 41);
+        let cfg = OrderingConfig {
+            failover: Some((1 << 40, 1 << 41)),
+            ..OrderingConfig::default()
+        };
         let class = |m: &ViewMsg<Item>| matches!(m, ViewMsg::Submit { .. });
         let base = run_cluster::<ViewAbcast<Item>>(
-            n, &waves, BatchConfig::default(), dup_seed, &setup, &class);
+            n, &waves, &cfg, dup_seed, &class);
         let batched = run_cluster::<ViewAbcast<Item>>(
-            n, &waves, BatchConfig { max_batch, max_delay_ns }, dup_seed, &setup, &class);
+            n, &waves, &batched(&cfg, max_batch, max_delay_ns), dup_seed, &class);
         for p in 0..n {
             prop_assert_eq!(base.seqs[p].len(), total(&raw), "validity at P{}", p);
             prop_assert_eq!(&base.seqs[p], &batched.seqs[p],
@@ -329,14 +339,15 @@ proptest! {
         dup_seed in any::<u64>(),
     ) {
         let (waves, items) = build_waves(n, &raw);
-        let setup = |a: &mut ShardedAbcast<Item>| {
-            a.set_shard_plan(ShardPlan::new(vec![0, 0, 1, 1]).unwrap());
+        let cfg = OrderingConfig {
+            shard_plan: Some(ShardPlan::new(vec![0, 0, 1, 1]).unwrap()),
+            ..OrderingConfig::default()
         };
         let class = |m: &ShardedMsg<Item>| matches!(m.msg, SequencerMsg::Submit { .. });
         let base = run_cluster::<ShardedAbcast<Item>>(
-            n, &waves, BatchConfig::default(), dup_seed, &setup, &class);
+            n, &waves, &cfg, dup_seed, &class);
         let batched = run_cluster::<ShardedAbcast<Item>>(
-            n, &waves, BatchConfig { max_batch, max_delay_ns }, dup_seed, &setup, &class);
+            n, &waves, &batched(&cfg, max_batch, max_delay_ns), dup_seed, &class);
         for p in 0..n {
             prop_assert_eq!(base.seqs[p].len(), total(&raw), "validity at P{}", p);
             prop_assert_eq!(batched.seqs[p].len(), total(&raw), "validity at P{}", p);

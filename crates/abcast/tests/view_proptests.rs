@@ -16,7 +16,7 @@
 
 use std::collections::VecDeque;
 
-use moc_abcast::{Abcast, Outbox, ViewAbcast, ViewMsg};
+use moc_abcast::{Abcast, OrderingConfig, Outbox, ViewAbcast, ViewMsg};
 use moc_core::ids::ProcessId;
 use proptest::prelude::*;
 
@@ -38,13 +38,14 @@ struct Cluster {
 
 impl Cluster {
     fn new(n: usize) -> Self {
-        let mut nodes: Vec<ViewAbcast<u64>> = (0..n)
-            .map(|p| ViewAbcast::new(ProcessId::new(p as u32), n))
+        // Fast suspicion so short schedules exercise failover.
+        let cfg = OrderingConfig {
+            failover: Some((1_000, 8_000)),
+            ..OrderingConfig::default()
+        };
+        let nodes: Vec<ViewAbcast<u64>> = (0..n)
+            .map(|p| ViewAbcast::new(ProcessId::new(p as u32), n, &cfg))
             .collect();
-        for node in &mut nodes {
-            // Fast suspicion so short schedules exercise failover.
-            node.set_failover_timeouts(1_000, 8_000);
-        }
         Cluster {
             nodes,
             queues: (0..n)

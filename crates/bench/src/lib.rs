@@ -1839,8 +1839,8 @@ pub struct RuntimeLoadSpec {
     pub update_fraction: f64,
     /// Seed for the key and class streams.
     pub seed: u64,
-    /// Group-commit batching for the ordering layer; `None` = off.
-    pub batching: Option<moc_abcast::BatchConfig>,
+    /// Group-commit batching for the ordering layer; `max_batch <= 1` = off.
+    pub batching: moc_abcast::BatchConfig,
     /// Client pipeline window; 1 = blocking (pipelining off).
     pub window: usize,
 }
@@ -1954,10 +1954,7 @@ pub fn run_runtime_load_counters(spec: &RuntimeLoadSpec) -> (RuntimeBenchRow, Ru
     use std::sync::Barrier;
 
     assert!(spec.clients > 0 && spec.ops_per_client > 0 && spec.window >= 1);
-    let mut cfg = RuntimeConfig::new(spec.num_objects);
-    if let Some(batch) = spec.batching {
-        cfg = cfg.with_batching(batch);
-    }
+    let cfg = RuntimeConfig::new(spec.num_objects).with_batching(spec.batching);
     let cluster: std::sync::Arc<LiveCluster<MscOverSequencer>> =
         std::sync::Arc::new(LiveCluster::start(spec.clients, cfg));
     // One write and one read program per key, prebuilt so the measured
@@ -2036,7 +2033,7 @@ pub fn run_runtime_load_counters(spec: &RuntimeLoadSpec) -> (RuntimeBenchRow, Ru
         mode: spec.mode.label().to_string(),
         clients: spec.clients,
         skew: spec.skew.label().to_string(),
-        batching: spec.batching.is_some(),
+        batching: spec.batching.enabled(),
         pipelining: spec.window > 1,
         window: spec.window,
         ops: total_ops,
@@ -2092,12 +2089,16 @@ pub fn experiment_runtime(ops_per_client: usize, seed: u64) -> Vec<RuntimeBenchR
         skew: KeySkew::Uniform,
         update_fraction: 0.9,
         seed,
-        batching: None,
+        batching: moc_abcast::BatchConfig::default(),
         window: 1,
     };
     let toggle = |on: bool, pipelined: bool| {
         (
-            if on { Some(BENCH_BATCH) } else { None },
+            if on {
+                BENCH_BATCH
+            } else {
+                moc_abcast::BatchConfig::default()
+            },
             if pipelined { BENCH_WINDOW } else { 1 },
         )
     };
@@ -2265,7 +2266,7 @@ pub fn runtime_smoke() -> Result<Vec<RuntimeBenchRow>, String> {
         skew: KeySkew::Zipfian { theta: 0.99 },
         update_fraction: 0.9,
         seed: 42,
-        batching: None,
+        batching: moc_abcast::BatchConfig::default(),
         window: 1,
     };
     let rows = vec![
@@ -2280,10 +2281,10 @@ pub fn runtime_smoke() -> Result<Vec<RuntimeBenchRow>, String> {
             // The window bounds in-flight submissions, so a batch
             // threshold equal to the window flushes the moment the full
             // burst lands; the long delay cap only covers stragglers.
-            batching: Some(moc_abcast::BatchConfig {
+            batching: moc_abcast::BatchConfig {
                 max_batch: 8,
                 max_delay_ns: 50_000_000,
-            }),
+            },
             window: 8,
             ..base
         }),

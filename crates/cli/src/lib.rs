@@ -1019,10 +1019,11 @@ fn cmd_chaos(args: &Args) -> Result<(String, i32), String> {
     if max_batch == 0 {
         return Err("--batch must be at least 1 (1 = batching off)".into());
     }
-    let batching = (max_batch > 1).then(|| moc_abcast::BatchConfig {
+    // `max_batch` 1 is batching off.
+    let batch = moc_abcast::BatchConfig {
         max_batch,
         max_delay_ns: batch_delay_us.saturating_mul(1_000),
-    });
+    };
 
     let protocols: Vec<&str> = match args
         .options
@@ -1116,10 +1117,8 @@ fn cmd_chaos(args: &Args) -> Result<(String, i32), String> {
                     };
                     let mut config = ChaosConfig::new(spec.num_objects, seed)
                         .with_faults(plan)
-                        .with_link(link);
-                    if let Some(batch) = batching {
-                        config = config.with_batching(batch);
-                    }
+                        .with_link(link)
+                        .with_batching(batch);
                     if abcast == "view" {
                         // Suspicion well below the leader-crash windows
                         // (which are fractions of the horizon), so
@@ -1255,10 +1254,10 @@ fn cmd_load(args: &Args) -> Result<(String, i32), String> {
         skew,
         update_fraction,
         seed,
-        batching: (max_batch > 1).then(|| moc_abcast::BatchConfig {
+        batching: moc_abcast::BatchConfig {
             max_batch,
             max_delay_ns: batch_delay_us.saturating_mul(1_000),
-        }),
+        },
         window,
     };
     let (row, counters) = run_runtime_load_counters(&spec);

@@ -24,7 +24,7 @@
 //! Virtual time is the exploration step index, a valid real-time axis for
 //! `~t` because it linearizes the actual event order of the schedule.
 
-use moc_abcast::Outbox;
+use moc_abcast::{OrderingConfig, Outbox};
 use moc_checker::conditions::{check_with_relation, Condition, Strategy};
 use moc_core::constraints::Constraint;
 use moc_core::history::History;
@@ -124,7 +124,7 @@ where
     /// The fail-stopped process, if a leader-crash move was taken. It
     /// never acts again; messages addressed to it vanish.
     crashed: Option<usize>,
-    /// Virtual clock fed to `on_abcast_tick` during quiescent-time
+    /// Virtual clock fed to `on_tick` during quiescent-time
     /// phases.
     clock_ns: u64,
 }
@@ -202,7 +202,14 @@ where
     let n = scripts.len();
     let state = State {
         replicas: (0..n)
-            .map(|p| R::new(ProcessId::new(p as u32), n, num_objects))
+            .map(|p| {
+                R::new(
+                    ProcessId::new(p as u32),
+                    n,
+                    num_objects,
+                    &OrderingConfig::default(),
+                )
+            })
             .collect(),
         inflight: Vec::new(),
         script_pos: vec![0; n],
@@ -322,7 +329,7 @@ where
                     continue;
                 }
                 let mut out = Outbox::new(s.replicas.len());
-                s.replicas[p].on_abcast_tick(s.clock_ns, &mut out);
+                s.replicas[p].on_tick(s.clock_ns, &mut out);
                 let me = ProcessId::new(p as u32);
                 for (to, msg) in out.drain() {
                     if s.crashed == Some(to.index()) {

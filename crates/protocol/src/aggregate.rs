@@ -16,7 +16,7 @@
 
 use std::collections::VecDeque;
 
-use moc_abcast::{Abcast, Outbox};
+use moc_abcast::{Abcast, OrderingConfig, Outbox};
 use moc_core::ids::ProcessId;
 
 use crate::store::ReplicaStore;
@@ -73,13 +73,14 @@ impl<A: Abcast<MOperation>> AggregateReplica<A> {
 
 impl<A: Abcast<MOperation>> ReplicaProtocol for AggregateReplica<A> {
     type Msg = ProtocolMsg<A::Msg>;
+    type Ordering = A;
 
-    fn new(me: ProcessId, n: usize, num_objects: usize) -> Self {
+    fn new(me: ProcessId, n: usize, num_objects: usize, ordering: &OrderingConfig) -> Self {
         AggregateReplica {
             me,
             n,
             store: ReplicaStore::new(num_objects),
-            abcast: A::new(me, n),
+            abcast: A::new(me, n, ordering),
             completions: VecDeque::new(),
             delivery_log: Vec::new(),
             metrics: ReplicaMetrics::default(),
@@ -130,56 +131,21 @@ impl<A: Abcast<MOperation>> ReplicaProtocol for AggregateReplica<A> {
         &self.delivery_log
     }
 
-    fn abcast_deadline(&self) -> Option<u64> {
-        self.abcast.next_deadline()
+    fn ordering(&self) -> &A {
+        &self.abcast
     }
 
-    fn on_abcast_tick(&mut self, now_ns: u64, out: &mut Outbox<Self::Msg>) {
+    fn on_tick(&mut self, now_ns: u64, out: &mut Outbox<Self::Msg>) {
         let mut ab_out = Outbox::new(self.n);
         self.abcast.on_tick(now_ns, &mut ab_out);
+        // Ticks can complete a view change, which can release deliveries.
         self.pump_abcast(&mut ab_out, out, true);
     }
 
-    fn on_abcast_restart(&mut self, now_ns: u64, out: &mut Outbox<Self::Msg>) {
+    fn on_restart(&mut self, now_ns: u64, out: &mut Outbox<Self::Msg>) {
         let mut ab_out = Outbox::new(self.n);
         self.abcast.on_restart(now_ns, &mut ab_out);
         self.pump_abcast(&mut ab_out, out, true);
-    }
-
-    fn set_failover_timeouts(&mut self, base_ns: u64, max_ns: u64) {
-        self.abcast.set_failover_timeouts(base_ns, max_ns);
-    }
-
-    fn abcast_transcript(&self) -> Vec<String> {
-        self.abcast.transcript()
-    }
-
-    fn set_shard_plan(&mut self, plan: moc_core::shard::ShardPlan) {
-        self.abcast.set_shard_plan(plan);
-    }
-
-    fn set_commute_plan(&mut self, plan: moc_core::commute::CommutePlan) {
-        self.abcast.set_commute_plan(plan);
-    }
-
-    fn commute_fast_applied(&self) -> u64 {
-        self.abcast.commute_fast_applied()
-    }
-
-    fn set_batching(&mut self, cfg: moc_abcast::BatchConfig) {
-        self.abcast.set_batching(cfg);
-    }
-
-    fn batch_stats(&self) -> moc_abcast::BatchStats {
-        self.abcast.batch_stats()
-    }
-
-    fn channel_logs(&self) -> Vec<Vec<moc_core::ids::MOpId>> {
-        crate::split_channel_logs(&self.delivery_log, self.abcast.delivery_channels())
-    }
-
-    fn private_channel(&self) -> Option<u32> {
-        self.abcast.private_channel()
     }
 }
 
@@ -202,7 +168,7 @@ mod tests {
             Arc::new(b.build().unwrap()),
             vec![],
         );
-        let mut r = Replica::new(ProcessId::new(1), 2, 1);
+        let mut r = Replica::new(ProcessId::new(1), 2, 1, &OrderingConfig::default());
         let mut out = Outbox::new(2);
         r.invoke(q, &mut out);
         assert_eq!(out.len(), 1, "query submitted to the sequencer");

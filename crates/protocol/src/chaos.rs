@@ -31,8 +31,8 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
+use moc_abcast::{Abcast, LinkMsg, OrderingConfig, Outbox, ReliableLink};
 pub use moc_abcast::{LinkConfig, LinkStats};
-use moc_abcast::{LinkMsg, Outbox, ReliableLink};
 use moc_core::history::History;
 use moc_core::ids::{MOpId, ProcessId};
 use moc_core::mop::{EventTime, MOpClass, MOpRecord};
@@ -41,7 +41,7 @@ pub use moc_monitor::{MonitorConfig, MonitorRunSummary};
 use moc_sim::{Context, FaultPlan, NetworkConfig, Node, RunStats, TimerId, World};
 
 use crate::harness::{ClientScript, OpSpec};
-use crate::{MOperation, ReplicaMetrics, ReplicaProtocol};
+use crate::{channel_logs, MOperation, ReplicaMetrics, ReplicaProtocol};
 
 /// Configuration of a chaos run: the cluster, the fault plan, and the
 /// link-layer tuning.
@@ -61,21 +61,10 @@ pub struct ChaosConfig {
     /// than panicking (a plan that never lets the run quiesce is data,
     /// not a crash).
     pub max_events: u64,
-    /// Failover suspicion timeouts `(base_ns, max_ns)` applied to every
-    /// replica's broadcast before the run, if set. Ignored by broadcasts
-    /// without failover (the fixed sequencer).
-    pub failover_timeouts: Option<(u64, u64)>,
-    /// A certified shard partition installed on every replica's broadcast
-    /// before the run, if set. Ignored by single-order broadcasts.
-    pub shard_plan: Option<moc_core::shard::ShardPlan>,
-    /// A commute certificate's delivery plan installed on every replica's
-    /// broadcast before the run, if set. Ignored by broadcasts without
-    /// commutativity fast paths.
-    pub commute_plan: Option<moc_core::commute::CommutePlan>,
-    /// A group-commit batching configuration installed on every replica's
-    /// broadcast before the run, if set. Ignored by broadcasts without
-    /// batched stamping.
-    pub batching: Option<moc_abcast::BatchConfig>,
+    /// The ordering configuration every replica's broadcast is built
+    /// with: failover timeouts, shard partition, commute plan, batching.
+    /// Each backend reads only the fields it uses.
+    pub ordering: OrderingConfig,
     /// When set, an [`OnlineMonitor`] sentinel rides along: every
     /// invocation and completion is streamed into it as it happens (in
     /// simulated time), and the run report carries the rolling
@@ -93,10 +82,7 @@ impl ChaosConfig {
             link: LinkConfig::default(),
             seed,
             max_events: 20_000_000,
-            failover_timeouts: None,
-            shard_plan: None,
-            commute_plan: None,
-            batching: None,
+            ordering: OrderingConfig::default(),
             monitor: None,
         }
     }
@@ -127,30 +113,30 @@ impl ChaosConfig {
     }
 
     /// Sets the failover suspicion timeouts (base and cap of the
-    /// exponential backoff) applied to every replica's broadcast.
+    /// exponential backoff) of every replica's broadcast.
     pub fn with_failover_timeouts(mut self, base_ns: u64, max_ns: u64) -> Self {
-        self.failover_timeouts = Some((base_ns, max_ns));
+        self.ordering.failover = Some((base_ns, max_ns));
         self
     }
 
-    /// Installs a shard partition on every replica's broadcast (see
-    /// [`crate::ReplicaProtocol::set_shard_plan`]).
+    /// Builds every replica's broadcast over a shard partition (see
+    /// [`OrderingConfig::shard_plan`]).
     pub fn with_shard_plan(mut self, plan: moc_core::shard::ShardPlan) -> Self {
-        self.shard_plan = Some(plan);
+        self.ordering.shard_plan = Some(plan);
         self
     }
 
-    /// Installs a commute certificate's delivery plan on every replica's
-    /// broadcast (see [`crate::ReplicaProtocol::set_commute_plan`]).
+    /// Builds every replica's broadcast with a commute certificate's
+    /// delivery plan (see [`OrderingConfig::commute_plan`]).
     pub fn with_commute_plan(mut self, plan: moc_core::commute::CommutePlan) -> Self {
-        self.commute_plan = Some(plan);
+        self.ordering.commute_plan = Some(plan);
         self
     }
 
-    /// Installs a group-commit batching configuration on every replica's
-    /// broadcast (see [`crate::ReplicaProtocol::set_batching`]).
+    /// Builds every replica's broadcast with group-commit batching (see
+    /// [`OrderingConfig::batch`]).
     pub fn with_batching(mut self, cfg: moc_abcast::BatchConfig) -> Self {
-        self.batching = Some(cfg);
+        self.ordering.batch = cfg;
         self
     }
 
@@ -224,9 +210,8 @@ pub struct ChaosRunReport {
     /// Replica 0's atomic-broadcast delivery order.
     pub update_order: Vec<MOpId>,
     /// Replica 0's delivery order split by ordering channel (trailing
-    /// empty channels trimmed; see
-    /// [`crate::ReplicaProtocol::channel_logs`]). One entry — the whole
-    /// log — for single-order broadcasts.
+    /// empty channels trimmed; see [`crate::channel_logs`]). One entry —
+    /// the whole log — for single-order broadcasts.
     pub channel_logs: Vec<Vec<MOpId>>,
     /// Per-replica logs of the replica-private read-only fast-path
     /// channel (empty when no broadcast arms one). These legitimately
@@ -241,10 +226,10 @@ pub struct ChaosRunReport {
     /// replays must produce identical transcripts.
     pub view_transcripts: Vec<Vec<String>>,
     /// Per-replica count of deliveries the broadcast applied through a
-    /// commute fast path (all zero without a commute plan installed).
+    /// commute fast path (all zero without a commute plan configured).
     pub commute_fast_applied: Vec<u64>,
     /// Per-replica group-commit counters from the broadcast (all zero
-    /// without batching installed).
+    /// without batching configured).
     pub batch_stats: Vec<moc_abcast::BatchStats>,
     /// The online sentinel's run summary — rolling certificates, verdict
     /// timeline, and any latched violation with its detection latency —
@@ -286,18 +271,9 @@ impl ChaosRunReport {
 
     /// Aggregated link counters across all replicas.
     pub fn total_link_stats(&self) -> LinkStats {
-        let mut t = LinkStats::default();
-        for s in &self.link_stats {
-            t.data_sent += s.data_sent;
-            t.data_received += s.data_received;
-            t.delivered += s.delivered;
-            t.duplicates_discarded += s.duplicates_discarded;
-            t.retransmissions += s.retransmissions;
-            t.acks_sent += s.acks_sent;
-            t.acks_received += s.acks_received;
-            t.rejoins += s.rejoins;
-        }
-        t
+        self.link_stats
+            .iter()
+            .fold(LinkStats::default(), |t, s| t.merge(s))
     }
 
     /// The relation `~p ∪ ~rf ∪ ~ww` over the recorded history (see
@@ -359,11 +335,12 @@ impl<R: ReplicaProtocol> ChaosNode<R> {
     /// first — unless one at least as early is already armed. Superseded
     /// timers still fire and run a (harmless, idempotent) early tick.
     fn arm_tick(&mut self, ctx: &mut Context<'_, LinkMsg<R::Msg>>) {
-        let d = match (self.link.next_deadline(), self.replica.abcast_deadline()) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => return,
+        let deadlines = [
+            self.link.next_deadline(),
+            self.replica.ordering().next_deadline(),
+        ];
+        let Some(d) = deadlines.into_iter().flatten().min() else {
+            return;
         };
         if self.tick_deadline.is_none_or(|armed| armed > d) {
             let delay = d.saturating_sub(ctx.now().as_nanos()).max(1);
@@ -470,7 +447,7 @@ impl<R: ReplicaProtocol> Node for ChaosNode<R> {
             // A due suspicion timer can start or escalate a view change,
             // and a completed change can release buffered deliveries.
             let mut out = Outbox::new(self.n);
-            self.replica.on_abcast_tick(now, &mut out);
+            self.replica.on_tick(now, &mut out);
             self.relay(&mut out, ctx);
             self.drain(ctx);
             self.arm_tick(ctx);
@@ -490,7 +467,7 @@ impl<R: ReplicaProtocol> Node for ChaosNode<R> {
         // sequencer fail-stops, a view-based one resyncs its suspicion
         // clock and catches up as a follower.
         let mut out = Outbox::new(self.n);
-        self.replica.on_abcast_restart(now, &mut out);
+        self.replica.on_restart(now, &mut out);
         self.relay(&mut out, ctx);
         self.drain(ctx);
         self.think_timer = None;
@@ -506,9 +483,9 @@ impl<R: ReplicaProtocol> Node for ChaosNode<R> {
 /// channels and the log of its private read-only fast-path channel, if
 /// the broadcast arms one.
 fn split_private_channel<R: ReplicaProtocol>(node: &ChaosNode<R>) -> (Vec<Vec<MOpId>>, Vec<MOpId>) {
-    let mut logs = node.replica.channel_logs();
+    let mut logs = channel_logs(&node.replica);
     let mut private_log = Vec::new();
-    if let Some(c) = node.replica.private_channel() {
+    if let Some(c) = node.replica.ordering().private_channel() {
         let c = c as usize;
         if c < logs.len() {
             private_log = std::mem::take(&mut logs[c]);
@@ -564,22 +541,12 @@ pub fn run_chaos_cluster<R: ReplicaProtocol + 'static>(
         .map(|(p, script)| ChaosNode {
             me: ProcessId::new(p as u32),
             n,
-            replica: {
-                let mut r = R::new(ProcessId::new(p as u32), n, config.num_objects);
-                if let Some((base, max)) = config.failover_timeouts {
-                    r.set_failover_timeouts(base, max);
-                }
-                if let Some(plan) = &config.shard_plan {
-                    r.set_shard_plan(plan.clone());
-                }
-                if let Some(plan) = &config.commute_plan {
-                    r.set_commute_plan(plan.clone());
-                }
-                if let Some(cfg) = config.batching {
-                    r.set_batching(cfg);
-                }
-                r
-            },
+            replica: R::new(
+                ProcessId::new(p as u32),
+                n,
+                config.num_objects,
+                &config.ordering,
+            ),
             link: ReliableLink::new(ProcessId::new(p as u32), n, config.link),
             script: script.ops.into(),
             think_ns: script.think_ns,
@@ -651,9 +618,10 @@ pub fn run_chaos_cluster<R: ReplicaProtocol + 'static>(
         latencies.extend(node.latencies);
         replica_metrics.push(node.replica.metrics());
         link_stats.push(node.link.stats());
-        view_transcripts.push(node.replica.abcast_transcript());
-        commute_fast_applied.push(node.replica.commute_fast_applied());
-        batch_stats.push(node.replica.batch_stats());
+        let ordering = node.replica.ordering();
+        view_transcripts.push(ordering.transcript());
+        commute_fast_applied.push(ordering.commute_fast_applied());
+        batch_stats.push(ordering.batch_stats());
     }
     let history = History::new(config.num_objects, records).map_err(|e| e.to_string());
     // All node clones of the sentinel were dropped when the nodes were

@@ -14,7 +14,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use moc_abcast::Outbox;
+use moc_abcast::{OrderingConfig, Outbox};
 use moc_core::history::History;
 use moc_core::ids::{MOpId, ProcessId};
 use moc_core::mop::{EventTime, MOpClass, MOpRecord};
@@ -22,7 +22,7 @@ use moc_core::program::Program;
 use moc_core::value::Value;
 use moc_sim::{Context, NetworkConfig, Node, RunStats, TimerId, World};
 
-use crate::{MOperation, ReplicaMetrics, ReplicaProtocol};
+use crate::{channel_logs, MOperation, ReplicaMetrics, ReplicaProtocol};
 
 /// One m-operation of a client script.
 #[derive(Debug, Clone)]
@@ -285,7 +285,12 @@ pub fn run_cluster<R: ReplicaProtocol + 'static>(
         .map(|(p, script)| ProtoNode {
             me: ProcessId::new(p as u32),
             n,
-            replica: R::new(ProcessId::new(p as u32), n, config.num_objects),
+            replica: R::new(
+                ProcessId::new(p as u32),
+                n,
+                config.num_objects,
+                &OrderingConfig::default(),
+            ),
             script: script.ops.into(),
             think_ns: script.think_ns,
             start_delay_ns: script.start_delay_ns,
@@ -307,10 +312,10 @@ pub fn run_cluster<R: ReplicaProtocol + 'static>(
     // broadcasts this is the whole delivery log; a sharded broadcast may
     // interleave commuting channels differently per replica, but every
     // channel's own log must be identical everywhere.
-    let reference_channels = nodes[0].replica.channel_logs();
+    let reference_channels = channel_logs(&nodes[0].replica);
     for node in &nodes {
         assert_eq!(
-            node.replica.channel_logs(),
+            channel_logs(&node.replica),
             reference_channels,
             "replicas disagree on a channel's broadcast order"
         );

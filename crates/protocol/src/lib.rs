@@ -52,7 +52,7 @@ pub use mlin::{MlinReplica, QueryScope};
 pub use msc::MscReplica;
 pub use store::{ExecRecord, ReplicaStore};
 
-use moc_abcast::Outbox;
+use moc_abcast::{Abcast, OrderingConfig, Outbox};
 
 /// An invoked m-operation: the deterministic program, its arguments, and
 /// the identity assigned by the issuing process.
@@ -222,9 +222,12 @@ pub trait ReplicaProtocol {
     /// Wire message type.
     type Msg: Clone + fmt::Debug;
 
+    /// The atomic broadcast the replica orders updates with.
+    type Ordering: Abcast<MOperation>;
+
     /// Creates the replica for process `me` of `n`, over `num_objects`
-    /// shared objects.
-    fn new(me: ProcessId, n: usize, num_objects: usize) -> Self;
+    /// shared objects, with its broadcast configured by `ordering`.
+    fn new(me: ProcessId, n: usize, num_objects: usize, ordering: &OrderingConfig) -> Self;
 
     /// A short name for reports ("msc", "mlin", "aggregate").
     fn protocol_name() -> &'static str;
@@ -251,81 +254,31 @@ pub trait ReplicaProtocol {
     /// harness).
     fn delivery_log(&self) -> &[MOpId];
 
-    /// Earliest absolute time (ns) the underlying broadcast wants a tick
-    /// (crash-suspicion deadlines), or `None`. Static broadcasts never
-    /// request ticks.
-    fn abcast_deadline(&self) -> Option<u64> {
-        None
-    }
+    /// The underlying atomic broadcast, for hosts that read its timers
+    /// and counters ([`Abcast::next_deadline`], [`Abcast::transcript`],
+    /// [`Abcast::batch_stats`], …).
+    fn ordering(&self) -> &Self::Ordering;
 
     /// Advances the broadcast's clock and fires its expired deadlines
-    /// (e.g. sequencer-failover suspicion). Harmless when called early.
-    fn on_abcast_tick(&mut self, _now_ns: u64, _out: &mut Outbox<Self::Msg>) {}
+    /// (e.g. sequencer-failover suspicion), then applies any deliveries
+    /// this releases. Harmless when called early.
+    fn on_tick(&mut self, now_ns: u64, out: &mut Outbox<Self::Msg>);
 
     /// The hosting process restarted after a crash; forwarded to the
-    /// broadcast so failover protocols can react.
-    fn on_abcast_restart(&mut self, _now_ns: u64, _out: &mut Outbox<Self::Msg>) {}
-
-    /// Overrides the broadcast's failover timeouts (suspicion base and
-    /// cap, ns). No-op for broadcasts without failover machinery.
-    fn set_failover_timeouts(&mut self, _base_ns: u64, _max_ns: u64) {}
-
-    /// The broadcast's view-change transcript (empty for static
-    /// broadcasts); deterministic, for replay comparison and reports.
-    fn abcast_transcript(&self) -> Vec<String> {
-        Vec::new()
-    }
-
-    /// Installs a certified shard partition on the underlying broadcast.
-    /// Only conflict-sharded broadcasts react; the default ignores it.
-    fn set_shard_plan(&mut self, _plan: moc_core::shard::ShardPlan) {}
-
-    /// Installs a commute certificate's delivery plan on the underlying
-    /// broadcast, unlocking its out-of-order fast paths. Only broadcasts
-    /// with such fast paths react; the default ignores it.
-    fn set_commute_plan(&mut self, _plan: moc_core::commute::CommutePlan) {}
-
-    /// Deliveries the underlying broadcast applied through a commute
-    /// fast path (0 for broadcasts without one).
-    fn commute_fast_applied(&self) -> u64 {
-        0
-    }
-
-    /// Installs a group-commit batching configuration on the underlying
-    /// broadcast. Must be called before any traffic; broadcasts without
-    /// batched stamping ignore it.
-    fn set_batching(&mut self, _cfg: moc_abcast::BatchConfig) {}
-
-    /// Group-commit counters from the underlying broadcast (zeroed for
-    /// broadcasts without batched stamping).
-    fn batch_stats(&self) -> moc_abcast::BatchStats {
-        moc_abcast::BatchStats::default()
-    }
-
-    /// The delivery log split by ordering channel, trailing empty
-    /// channels trimmed. Single-order protocols report one channel (the
-    /// whole log); sharded protocols report one log per channel. Within
-    /// a channel the log is an agreed total order, so the harness
-    /// compares replicas per channel, not on the merged log.
-    fn channel_logs(&self) -> Vec<Vec<MOpId>> {
-        vec![self.delivery_log().to_vec()]
-    }
-
-    /// The index of the underlying broadcast's replica-private read-only
-    /// fast-path channel, when one is armed (see
-    /// [`moc_abcast::Abcast::private_channel`]). Harnesses must exclude
-    /// this channel from cross-replica agreement checks and instead
-    /// verify each entry is locally issued and write-free.
-    fn private_channel(&self) -> Option<u32> {
-        None
-    }
+    /// broadcast so failover protocols can react, then applies any
+    /// deliveries this releases.
+    fn on_restart(&mut self, now_ns: u64, out: &mut Outbox<Self::Msg>);
 }
 
-/// Splits a merged delivery log by per-delivery channel tags (the shape
-/// [`moc_abcast::Abcast::delivery_channels`] reports), trimming trailing
-/// empty channels. `None` tags mean a single global channel.
-pub(crate) fn split_channel_logs(log: &[MOpId], channels: Option<Vec<u32>>) -> Vec<Vec<MOpId>> {
-    match channels {
+/// A replica's delivery log split by ordering channel, trailing empty
+/// channels trimmed. Single-order broadcasts report one channel (the
+/// whole log); sharded broadcasts report one log per channel (see
+/// [`Abcast::delivery_channels`]). Within a channel the log is an agreed
+/// total order, so harnesses compare replicas per channel, not on the
+/// merged log.
+pub fn channel_logs<R: ReplicaProtocol>(replica: &R) -> Vec<Vec<MOpId>> {
+    let log = replica.delivery_log();
+    match replica.ordering().delivery_channels() {
         None => vec![log.to_vec()],
         Some(channels) => {
             debug_assert_eq!(channels.len(), log.len());
@@ -364,8 +317,8 @@ pub type AggregateOverSequencer = AggregateReplica<moc_abcast::SequencerAbcast<M
 /// harness's private-channel verification.
 pub type AggregateOverSharded = AggregateReplica<moc_abcast::ShardedAbcast<MOperation>>;
 /// Convenience alias: Figure 4 over the conflict-sharded broadcast, which
-/// routes single-shard updates through shard-local sequencers (install a
-/// certified partition with [`ReplicaProtocol::set_shard_plan`]).
+/// routes single-shard updates through shard-local sequencers (pass a
+/// certified partition in [`OrderingConfig::shard_plan`]).
 pub type MscOverSharded = MscReplica<moc_abcast::ShardedAbcast<MOperation>>;
 /// Convenience alias: Figure 4 over the view-based failover broadcast,
 /// which survives sequencer (leader) crashes.

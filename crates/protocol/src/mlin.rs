@@ -18,7 +18,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use moc_abcast::{Abcast, Outbox};
+use moc_abcast::{Abcast, OrderingConfig, Outbox};
 use moc_core::ids::{ObjectId, ProcessId, QueryId};
 use moc_core::mop::MOpClass;
 use moc_core::value::Versioned;
@@ -121,13 +121,14 @@ impl<A: Abcast<MOperation>> MlinReplica<A> {
 
 impl<A: Abcast<MOperation>> ReplicaProtocol for MlinReplica<A> {
     type Msg = ProtocolMsg<A::Msg>;
+    type Ordering = A;
 
-    fn new(me: ProcessId, n: usize, num_objects: usize) -> Self {
+    fn new(me: ProcessId, n: usize, num_objects: usize, ordering: &OrderingConfig) -> Self {
         MlinReplica {
             me,
             n,
             store: ReplicaStore::new(num_objects),
-            abcast: A::new(me, n),
+            abcast: A::new(me, n, ordering),
             completions: VecDeque::new(),
             delivery_log: Vec::new(),
             pending: HashMap::new(),
@@ -252,37 +253,21 @@ impl<A: Abcast<MOperation>> ReplicaProtocol for MlinReplica<A> {
         &self.delivery_log
     }
 
-    fn abcast_deadline(&self) -> Option<u64> {
-        self.abcast.next_deadline()
+    fn ordering(&self) -> &A {
+        &self.abcast
     }
 
-    fn on_abcast_tick(&mut self, now_ns: u64, out: &mut Outbox<Self::Msg>) {
+    fn on_tick(&mut self, now_ns: u64, out: &mut Outbox<Self::Msg>) {
         let mut ab_out = Outbox::new(self.n);
         self.abcast.on_tick(now_ns, &mut ab_out);
         // Ticks can complete a view change, which can release deliveries.
         self.pump_abcast(&mut ab_out, out);
     }
 
-    fn on_abcast_restart(&mut self, now_ns: u64, out: &mut Outbox<Self::Msg>) {
+    fn on_restart(&mut self, now_ns: u64, out: &mut Outbox<Self::Msg>) {
         let mut ab_out = Outbox::new(self.n);
         self.abcast.on_restart(now_ns, &mut ab_out);
         self.pump_abcast(&mut ab_out, out);
-    }
-
-    fn set_failover_timeouts(&mut self, base_ns: u64, max_ns: u64) {
-        self.abcast.set_failover_timeouts(base_ns, max_ns);
-    }
-
-    fn set_batching(&mut self, cfg: moc_abcast::BatchConfig) {
-        self.abcast.set_batching(cfg);
-    }
-
-    fn batch_stats(&self) -> moc_abcast::BatchStats {
-        self.abcast.batch_stats()
-    }
-
-    fn abcast_transcript(&self) -> Vec<String> {
-        self.abcast.transcript()
     }
 }
 
@@ -294,9 +279,10 @@ pub struct MlinRelevant<A: Abcast<MOperation>>(MlinReplica<A>);
 
 impl<A: Abcast<MOperation>> ReplicaProtocol for MlinRelevant<A> {
     type Msg = ProtocolMsg<A::Msg>;
+    type Ordering = A;
 
-    fn new(me: ProcessId, n: usize, num_objects: usize) -> Self {
-        let mut inner = MlinReplica::new(me, n, num_objects);
+    fn new(me: ProcessId, n: usize, num_objects: usize, ordering: &OrderingConfig) -> Self {
+        let mut inner = MlinReplica::new(me, n, num_objects, ordering);
         inner.set_query_scope(QueryScope::Relevant);
         MlinRelevant(inner)
     }
@@ -329,32 +315,16 @@ impl<A: Abcast<MOperation>> ReplicaProtocol for MlinRelevant<A> {
         self.0.delivery_log()
     }
 
-    fn abcast_deadline(&self) -> Option<u64> {
-        self.0.abcast_deadline()
+    fn ordering(&self) -> &A {
+        self.0.ordering()
     }
 
-    fn on_abcast_tick(&mut self, now_ns: u64, out: &mut Outbox<Self::Msg>) {
-        self.0.on_abcast_tick(now_ns, out);
+    fn on_tick(&mut self, now_ns: u64, out: &mut Outbox<Self::Msg>) {
+        self.0.on_tick(now_ns, out);
     }
 
-    fn on_abcast_restart(&mut self, now_ns: u64, out: &mut Outbox<Self::Msg>) {
-        self.0.on_abcast_restart(now_ns, out);
-    }
-
-    fn set_failover_timeouts(&mut self, base_ns: u64, max_ns: u64) {
-        self.0.set_failover_timeouts(base_ns, max_ns);
-    }
-
-    fn set_batching(&mut self, cfg: moc_abcast::BatchConfig) {
-        self.0.set_batching(cfg);
-    }
-
-    fn batch_stats(&self) -> moc_abcast::BatchStats {
-        self.0.batch_stats()
-    }
-
-    fn abcast_transcript(&self) -> Vec<String> {
-        self.0.abcast_transcript()
+    fn on_restart(&mut self, now_ns: u64, out: &mut Outbox<Self::Msg>) {
+        self.0.on_restart(now_ns, out);
     }
 }
 
@@ -390,7 +360,7 @@ mod tests {
     #[test]
     fn query_waits_for_all_responses_and_takes_max() {
         let n = 3;
-        let mut r = Replica::new(pid(1), n, 1);
+        let mut r = Replica::new(pid(1), n, 1, &OrderingConfig::default());
         let mut out = Outbox::new(n);
         r.invoke(read_x(1, 0), &mut out);
         let queries = out.drain();
@@ -439,7 +409,7 @@ mod tests {
     #[test]
     fn query_response_carries_store_and_ts() {
         let n = 2;
-        let mut r = Replica::new(pid(0), n, 2);
+        let mut r = Replica::new(pid(0), n, 2, &OrderingConfig::default());
         let qid = QueryId::new(pid(1), 0);
         let mut out = Outbox::new(n);
         r.on_message(pid(1), ProtocolMsg::Query { qid, objects: None }, &mut out);
@@ -461,7 +431,7 @@ mod tests {
     #[test]
     fn relevant_scope_filters_snapshot() {
         let n = 1;
-        let mut r = Replica::new(pid(0), n, 3);
+        let mut r = Replica::new(pid(0), n, 3, &OrderingConfig::default());
         r.set_query_scope(QueryScope::Relevant);
         let mut out = Outbox::new(n);
         r.invoke(read_x(0, 0), &mut out);
@@ -489,7 +459,7 @@ mod tests {
     #[test]
     fn updates_are_broadcast() {
         let n = 2;
-        let mut r = Replica::new(pid(1), n, 1);
+        let mut r = Replica::new(pid(1), n, 1, &OrderingConfig::default());
         let mut b = ProgramBuilder::new("wx");
         b.write(oid(0), imm(9)).ret(vec![]);
         let m = MOperation::new(MOpId::new(pid(1), 0), Arc::new(b.build().unwrap()), vec![]);

@@ -16,7 +16,7 @@
 
 use std::collections::VecDeque;
 
-use moc_abcast::{Abcast, Outbox};
+use moc_abcast::{Abcast, OrderingConfig, Outbox};
 use moc_core::ids::ProcessId;
 use moc_core::mop::MOpClass;
 
@@ -71,13 +71,14 @@ impl<A: Abcast<MOperation>> MscReplica<A> {
 
 impl<A: Abcast<MOperation>> ReplicaProtocol for MscReplica<A> {
     type Msg = ProtocolMsg<A::Msg>;
+    type Ordering = A;
 
-    fn new(me: ProcessId, n: usize, num_objects: usize) -> Self {
+    fn new(me: ProcessId, n: usize, num_objects: usize, ordering: &OrderingConfig) -> Self {
         MscReplica {
             me,
             n,
             store: ReplicaStore::new(num_objects),
-            abcast: A::new(me, n),
+            abcast: A::new(me, n, ordering),
             completions: VecDeque::new(),
             delivery_log: Vec::new(),
             metrics: ReplicaMetrics::default(),
@@ -140,57 +141,21 @@ impl<A: Abcast<MOperation>> ReplicaProtocol for MscReplica<A> {
         &self.delivery_log
     }
 
-    fn abcast_deadline(&self) -> Option<u64> {
-        self.abcast.next_deadline()
+    fn ordering(&self) -> &A {
+        &self.abcast
     }
 
-    fn on_abcast_tick(&mut self, now_ns: u64, out: &mut Outbox<Self::Msg>) {
+    fn on_tick(&mut self, now_ns: u64, out: &mut Outbox<Self::Msg>) {
         let mut ab_out = Outbox::new(self.n);
         self.abcast.on_tick(now_ns, &mut ab_out);
         // Ticks can complete a view change, which can release deliveries.
         self.pump_abcast(&mut ab_out, out, MOpClass::Update);
     }
 
-    fn on_abcast_restart(&mut self, now_ns: u64, out: &mut Outbox<Self::Msg>) {
+    fn on_restart(&mut self, now_ns: u64, out: &mut Outbox<Self::Msg>) {
         let mut ab_out = Outbox::new(self.n);
         self.abcast.on_restart(now_ns, &mut ab_out);
         self.pump_abcast(&mut ab_out, out, MOpClass::Update);
-    }
-
-    fn set_failover_timeouts(&mut self, base_ns: u64, max_ns: u64) {
-        self.abcast.set_failover_timeouts(base_ns, max_ns);
-    }
-
-    fn abcast_transcript(&self) -> Vec<String> {
-        self.abcast.transcript()
-    }
-
-    fn set_shard_plan(&mut self, plan: moc_core::shard::ShardPlan) {
-        self.abcast.set_shard_plan(plan);
-    }
-
-    fn set_commute_plan(&mut self, plan: moc_core::commute::CommutePlan) {
-        self.abcast.set_commute_plan(plan);
-    }
-
-    fn commute_fast_applied(&self) -> u64 {
-        self.abcast.commute_fast_applied()
-    }
-
-    fn set_batching(&mut self, cfg: moc_abcast::BatchConfig) {
-        self.abcast.set_batching(cfg);
-    }
-
-    fn batch_stats(&self) -> moc_abcast::BatchStats {
-        self.abcast.batch_stats()
-    }
-
-    fn channel_logs(&self) -> Vec<Vec<moc_core::ids::MOpId>> {
-        crate::split_channel_logs(&self.delivery_log, self.abcast.delivery_channels())
-    }
-
-    fn private_channel(&self) -> Option<u32> {
-        self.abcast.private_channel()
     }
 }
 
@@ -230,7 +195,7 @@ mod tests {
     /// this protocol m-sequentially consistent but not m-linearizable.
     #[test]
     fn queries_are_local_and_immediate() {
-        let mut r = Replica::new(pid(1), 2, 1);
+        let mut r = Replica::new(pid(1), 2, 1, &OrderingConfig::default());
         let mut out = Outbox::new(2);
         r.invoke(read_x(1, 0), &mut out);
         assert!(out.is_empty(), "no messages for a query");
@@ -245,7 +210,7 @@ mod tests {
     /// Updates respond only once their broadcast is delivered back (A2).
     #[test]
     fn updates_complete_at_own_delivery() {
-        let mut r = Replica::new(pid(1), 2, 1);
+        let mut r = Replica::new(pid(1), 2, 1, &OrderingConfig::default());
         let mut out = Outbox::new(2);
         r.invoke(write_x(5), &mut out);
         // Submit went to the sequencer; nothing completed yet.
@@ -253,7 +218,7 @@ mod tests {
         assert!(r.drain_completions().is_empty());
 
         // Simulate the sequencer (process 0) ordering the submission.
-        let mut seq = Replica::new(pid(0), 2, 1);
+        let mut seq = Replica::new(pid(0), 2, 1, &OrderingConfig::default());
         let submissions = out.drain();
         let mut seq_out = Outbox::new(2);
         let ProtocolMsg::Abcast(am) = submissions[0].1.clone() else {

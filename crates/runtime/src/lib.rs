@@ -49,7 +49,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use moc_abcast::{LinkConfig, LinkMsg, Outbox, ReliableLink};
+use moc_abcast::{Abcast, LinkConfig, LinkMsg, OrderingConfig, Outbox, ReliableLink};
 use moc_core::history::History;
 use moc_core::ids::{MOpId, ProcessId};
 use moc_core::mop::{EventTime, MOpClass, MOpRecord};
@@ -69,7 +69,7 @@ use rand::{Rng, SeedableRng};
 const FAULT_SEED_SALT: u64 = 0x6d6f_635f_6368_616f;
 
 /// Configuration for a live cluster.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Size of the shared-object universe.
     pub num_objects: usize,
@@ -88,19 +88,15 @@ pub struct RuntimeConfig {
     /// absorb OS scheduling jitter; spurious retransmissions are made
     /// harmless by receive-side dedup.
     pub link: LinkConfig,
-    /// Failover suspicion timeouts `(base_ns, max_ns)` for broadcasts
-    /// with view-based failover. The simulator-scale defaults baked into
-    /// the broadcast (tens of microseconds) would suspect a coordinator
-    /// on every OS scheduling hiccup, so the runtime always overrides
-    /// them with wall-clock values (20ms base, 500ms cap). False
-    /// suspicions are safe but churn views. Ignored by broadcasts
-    /// without failover.
-    pub failover_timeouts: (u64, u64),
-    /// Group-commit batching installed on every replica's broadcast
-    /// before traffic starts (see
-    /// [`moc_protocol::ReplicaProtocol::set_batching`]). `None` keeps
-    /// one-fan-out-per-stamp ordering.
-    pub batching: Option<moc_abcast::BatchConfig>,
+    /// The ordering configuration every replica's broadcast is built
+    /// with. The simulator-scale failover defaults baked into the
+    /// broadcast (tens of microseconds) would suspect a coordinator on
+    /// every OS scheduling hiccup, so [`RuntimeConfig::new`] sets
+    /// wall-clock failover timeouts (20ms base, 500ms cap). False
+    /// suspicions are safe but churn views. Private so the wall-clock
+    /// failover cannot be lost: only [`RuntimeConfig::with_batching`]
+    /// and [`RuntimeConfig::with_failover_timeouts`] write it.
+    pub(crate) ordering: OrderingConfig,
 }
 
 impl RuntimeConfig {
@@ -117,8 +113,10 @@ impl RuntimeConfig {
                 max_rto_ns: 50_000_000,
                 ..LinkConfig::default()
             },
-            failover_timeouts: (20_000_000, 500_000_000),
-            batching: None,
+            ordering: OrderingConfig {
+                failover: Some((20_000_000, 500_000_000)),
+                ..OrderingConfig::default()
+            },
         }
     }
 
@@ -126,14 +124,14 @@ impl RuntimeConfig {
     /// submissions accumulate until `cfg.max_batch` items or
     /// `cfg.max_delay_ns` elapse, then stamp as one ordering frame.
     pub fn with_batching(mut self, cfg: moc_abcast::BatchConfig) -> Self {
-        self.batching = Some(cfg);
+        self.ordering.batch = cfg;
         self
     }
 
     /// Overrides the failover suspicion timeouts (base and backoff cap).
     pub fn with_failover_timeouts(mut self, base_ns: u64, max_ns: u64) -> Self {
         assert!(base_ns > 0 && base_ns <= max_ns, "need 0 < base <= max");
-        self.failover_timeouts = (base_ns, max_ns);
+        self.ordering.failover = Some((base_ns, max_ns));
         self
     }
 
@@ -386,8 +384,7 @@ where
             let net_tx = net_tx.clone();
             let num_objects = config.num_objects;
             let link_cfg = config.link;
-            let failover = config.failover_timeouts;
-            let batching = config.batching;
+            let ordering = config.ordering.clone();
             let sentinel = monitor_tx.clone();
             replica_handles.push(
                 std::thread::Builder::new()
@@ -398,8 +395,7 @@ where
                             n,
                             num_objects,
                             link_cfg,
-                            failover,
-                            batching,
+                            &ordering,
                             epoch,
                             rx,
                             net_tx,
@@ -701,18 +697,13 @@ fn replica_main<R: ReplicaProtocol>(
     n: usize,
     num_objects: usize,
     link_cfg: LinkConfig,
-    failover: (u64, u64),
-    batching: Option<moc_abcast::BatchConfig>,
+    ordering: &OrderingConfig,
     epoch: Instant,
     rx: Receiver<Input<LinkMsg<R::Msg>>>,
     net_tx: Sender<NetCmd<LinkMsg<R::Msg>>>,
     sentinel: Option<Sender<MonitorEvent>>,
 ) -> ReplicaExit {
-    let mut replica = R::new(me, n, num_objects);
-    replica.set_failover_timeouts(failover.0, failover.1);
-    if let Some(cfg) = batching {
-        replica.set_batching(cfg);
-    }
+    let mut replica = R::new(me, n, num_objects, ordering);
     let mut link: ReliableLink<R::Msg> = ReliableLink::new(me, n, link_cfg);
     let mut next_seq = 0u32;
     let mut records = Vec::new();
@@ -744,7 +735,7 @@ fn replica_main<R: ReplicaProtocol>(
         // Wake for the next input or the earliest pending deadline —
         // link retransmission, failover suspicion, or a group-commit
         // flush — whichever first.
-        let deadline = match (link.next_deadline(), replica.abcast_deadline()) {
+        let deadline = match (link.next_deadline(), replica.ordering().next_deadline()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
@@ -793,7 +784,7 @@ fn replica_main<R: ReplicaProtocol>(
             // on deadlines that are actually due).
             None => {
                 link.on_tick(now(epoch).as_nanos(), &mut wire);
-                replica.on_abcast_tick(now(epoch).as_nanos(), &mut out);
+                replica.on_tick(now(epoch).as_nanos(), &mut out);
             }
         }
         // Retire completions and admit queued invocations until neither
@@ -927,7 +918,7 @@ fn replica_main<R: ReplicaProtocol>(
         metrics: replica.metrics(),
         link_stats: link.stats(),
         pipeline,
-        batch: replica.batch_stats(),
+        batch: replica.ordering().batch_stats(),
     }
 }
 
