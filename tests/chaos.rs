@@ -1045,3 +1045,244 @@ fn ordering_configurations_replay_a_pinned_identity() {
     ];
     assert_eq!(got, pinned);
 }
+
+// ---------------------------------------------------------------------
+// Golden replay identity of the fair-weather harness and the explorer.
+// ---------------------------------------------------------------------
+
+/// FNV-1a over a value's `Debug` rendering: a compact, stable pin for
+/// vectors too long to spell out.
+fn debug_hash<T: std::fmt::Debug>(value: &T) -> u64 {
+    moc_core::shard::fnv1a(format!("{value:?}").as_bytes())
+}
+
+/// Everything deterministic a fair-weather run reports, condensed into
+/// one comparable tuple: the history fingerprint, every simulator
+/// counter, hashes of the latency list and of the broadcast order, and
+/// the per-replica message counters.
+#[derive(Debug, PartialEq, Eq)]
+struct ClusterIdentity {
+    fingerprint: u64,
+    /// [`moc_sim::RunStats`], field by field in declaration order.
+    sim: [u64; 12],
+    latencies: u64,
+    /// Per replica: update msgs, query msgs, updates applied, queries
+    /// completed, query values sent.
+    replica_metrics: Vec<[u64; 5]>,
+    update_order: u64,
+}
+
+impl ClusterIdentity {
+    fn of(report: &moc_protocol::RunReport) -> Self {
+        let s = report.sim;
+        ClusterIdentity {
+            fingerprint: moc_core::codec::fingerprint(&report.history),
+            sim: [
+                s.events_processed,
+                s.messages_delivered,
+                s.messages_sent,
+                s.timers_fired,
+                s.calls_executed,
+                s.messages_dropped,
+                s.messages_duplicated,
+                s.timers_suppressed,
+                s.calls_dropped,
+                s.crashes,
+                s.restarts,
+                s.end_time.as_nanos(),
+            ],
+            latencies: debug_hash(&report.latencies),
+            replica_metrics: report
+                .replica_metrics
+                .iter()
+                .map(|m| {
+                    [
+                        m.update_msgs_sent,
+                        m.query_msgs_sent,
+                        m.updates_applied,
+                        m.queries_completed,
+                        m.query_values_sent,
+                    ]
+                })
+                .collect(),
+            update_order: debug_hash(&report.update_order),
+        }
+    }
+}
+
+/// One pinned `run_cluster` per protocol: m-SC, m-lin and the aggregate
+/// baseline over the fixed sequencer, and m-SC over ISIS, each on the
+/// mixed workload at a fixed seed. Any change to how the fair-weather
+/// harness hosts a replica must leave every tuple byte-identical.
+#[test]
+fn fair_weather_runs_replay_a_pinned_identity() {
+    use moc_protocol::{run_cluster, AggregateOverSequencer, ClusterConfig, MscOverIsis};
+    let run =
+        |seed: u64, f: &dyn Fn(&ClusterConfig, Vec<ClientScript>) -> moc_protocol::RunReport| {
+            let (num_objects, s) = sweep_scripts(WorkloadFamily::Mixed, seed);
+            ClusterIdentity::of(&f(&ClusterConfig::new(num_objects, seed), s))
+        };
+    let got = vec![
+        run(3, &|c, s| run_cluster::<MscOverSequencer>(c, s)),
+        run(4, &|c, s| run_cluster::<MlinOverSequencer>(c, s)),
+        run(5, &|c, s| run_cluster::<AggregateOverSequencer>(c, s)),
+        run(6, &|c, s| run_cluster::<MscOverIsis>(c, s)),
+    ];
+    let pinned = vec![
+        // m-SC over the fixed sequencer.
+        ClusterIdentity {
+            fingerprint: 13156365861525473362,
+            sim: [29, 20, 20, 9, 0, 0, 0, 0, 0, 0, 0, 8765],
+            latencies: 1160395512060101749,
+            replica_metrics: vec![[18, 0, 5, 0, 0], [1, 0, 5, 2, 0], [1, 0, 5, 2, 0]],
+            update_order: 9641107887835306447,
+        },
+        // m-lin over the fixed sequencer.
+        ClusterIdentity {
+            fingerprint: 13446115768499858550,
+            sim: [57, 48, 48, 9, 0, 0, 0, 0, 0, 0, 0, 26943],
+            latencies: 6061662976536072473,
+            replica_metrics: vec![[10, 12, 3, 2, 48], [1, 12, 3, 2, 48], [1, 12, 3, 2, 48]],
+            update_order: 17611116190851067427,
+        },
+        // The aggregate baseline over the fixed sequencer.
+        ClusterIdentity {
+            fingerprint: 11059425245376652372,
+            sim: [45, 36, 36, 9, 0, 0, 0, 0, 0, 0, 0, 14544],
+            latencies: 11918086772186696754,
+            replica_metrics: vec![[29, 1, 7, 2, 0], [3, 0, 7, 2, 0], [2, 1, 7, 2, 0]],
+            update_order: 5698445618086966761,
+        },
+        // m-SC over ISIS.
+        ClusterIdentity {
+            fingerprint: 10920664241721861289,
+            sim: [54, 45, 45, 9, 0, 0, 0, 0, 0, 0, 0, 22213],
+            latencies: 36099754902106460,
+            replica_metrics: vec![[5, 0, 5, 3, 0], [17, 0, 5, 1, 0], [23, 0, 5, 0, 0]],
+            update_order: 15099349415041632882,
+        },
+    ];
+    assert_eq!(got, pinned);
+}
+
+/// The explorer's output condensed: schedule count, truncation, and for
+/// each violation its reason and its records without timestamps.
+#[derive(Debug, PartialEq, Eq)]
+struct ExploreIdentity {
+    schedules: u64,
+    truncated: bool,
+    violations: usize,
+    /// FNV-1a over every violation's reason and its records' ids, ops
+    /// and outputs, in discovery order.
+    digest: u64,
+    first_reason: Option<String>,
+}
+
+impl ExploreIdentity {
+    fn of(result: &moc_mc::ExploreResult) -> Self {
+        let untimed: Vec<(Option<&String>, Vec<String>)> = result
+            .violations
+            .iter()
+            .map(|v| {
+                let records = v
+                    .history
+                    .records()
+                    .iter()
+                    .map(|r| format!("{} {:?} {:?}", r.id, r.ops, r.outputs))
+                    .collect();
+                (v.reason.as_ref(), records)
+            })
+            .collect();
+        ExploreIdentity {
+            schedules: result.schedules,
+            truncated: result.truncated,
+            violations: result.violations.len(),
+            digest: debug_hash(&untimed),
+            first_reason: result.violations.first().and_then(|v| v.reason.clone()),
+        }
+    }
+}
+
+/// One pinned exploration per explorer mode: a duplicate budget of one
+/// under m-SC, the Figure 4 protocol checked as m-lin (the stale local
+/// query), and the view-based broadcast under a leader-crash budget.
+#[test]
+fn explorations_replay_a_pinned_identity() {
+    use moc_core::ids::ObjectId;
+    use moc_core::program::{imm, reg, ProgramBuilder};
+    use moc_mc::{explore, ExploreLimits};
+    use moc_protocol::OpSpec;
+    use std::sync::Arc;
+
+    let wx = |v: i64| {
+        let mut b = ProgramBuilder::new(format!("w{v}"));
+        b.write(ObjectId::new(0), imm(v)).ret(vec![]);
+        OpSpec::new(Arc::new(b.build().unwrap()), vec![])
+    };
+    let rx = || {
+        let mut b = ProgramBuilder::new("rx");
+        b.read(ObjectId::new(0), 0).ret(vec![reg(0)]);
+        OpSpec::new(Arc::new(b.build().unwrap()), vec![])
+    };
+    let duplicated = explore::<MscOverSequencer>(
+        1,
+        vec![vec![wx(1), wx(2)], vec![rx(), rx()]],
+        Condition::MSequentialConsistency,
+        ExploreLimits {
+            max_schedules: 100_000,
+            max_duplicates: 1,
+            ..ExploreLimits::default()
+        },
+    );
+    let stale = explore::<MscOverSequencer>(
+        1,
+        vec![vec![wx(1)], vec![rx()]],
+        Condition::MLinearizability,
+        ExploreLimits::default(),
+    );
+    let crashed = explore::<MscOverView>(
+        1,
+        vec![vec![wx(1)], vec![wx(2)], vec![]],
+        Condition::MSequentialConsistency,
+        ExploreLimits {
+            max_leader_crashes: 1,
+            ..ExploreLimits::default()
+        },
+    );
+    let got: Vec<ExploreIdentity> = [&duplicated, &stale, &crashed]
+        .into_iter()
+        .map(ExploreIdentity::of)
+        .collect();
+    let pinned = vec![
+        ExploreIdentity {
+            schedules: 100_000,
+            truncated: true,
+            violations: 456,
+            digest: 6423693052583853985,
+            first_reason: Some(
+                "history is not legal: #1 is ordered between Some(MOpIdx(0)) and #3 \
+                 while overwriting an object read between them"
+                    .to_string(),
+            ),
+        },
+        ExploreIdentity {
+            schedules: 10,
+            truncated: false,
+            violations: 1,
+            digest: 11721378141776900232,
+            first_reason: Some(
+                "history is not legal: #0 is ordered between None and #1 \
+                 while overwriting an object read between them"
+                    .to_string(),
+            ),
+        },
+        ExploreIdentity {
+            schedules: 28830,
+            truncated: false,
+            violations: 0,
+            digest: 675868731199239589,
+            first_reason: None,
+        },
+    ];
+    assert_eq!(got, pinned);
+}
