@@ -47,7 +47,7 @@ pub mod sharded;
 pub mod view;
 
 pub use isis::IsisAbcast;
-pub use link::{LinkConfig, LinkMsg, LinkStats, ReliableLink};
+pub use link::{Direct, LinkConfig, LinkMsg, LinkStats, ReliableLink, Transport, Wire};
 pub use sequencer::SequencerAbcast;
 pub use sharded::{ShardItem, ShardedAbcast, ShardedMsg};
 pub use view::{ViewAbcast, ViewConfig, ViewMsg};
@@ -56,7 +56,7 @@ pub use view::{ViewAbcast, ViewConfig, ViewMsg};
 ///
 /// The hosting layer (simulator node or runtime thread) drains the outbox
 /// and performs the actual sends.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Outbox<M> {
     msgs: Vec<(ProcessId, M)>,
     n: usize,

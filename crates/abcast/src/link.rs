@@ -9,7 +9,7 @@
 //! (`moc_sim::FaultPlan`, or the runtime's fault knobs), so the protocol
 //! state machines above it run unmodified:
 //!
-//! * every payload handed to [`ReliableLink::send`] carries a per-peer
+//! * every payload handed to [`Transport::send`] carries a per-peer
 //!   **sequence number** and is kept until cumulatively acknowledged;
 //! * receivers **deduplicate** and reorder into gap-free per-sender
 //!   sequence order, acknowledging cumulatively ([`LinkMsg::Ack`]);
@@ -20,7 +20,7 @@
 //!   same instant (e.g. across a healed partition) do not fire their
 //!   retransmissions in synchronized storms the way pure exponential
 //!   doubling would;
-//! * after a crash window, [`ReliableLink::on_restart`] runs a
+//! * after a crash window, [`Transport::on_restart`] runs a
 //!   **rejoin handshake**: the returning process retransmits its own
 //!   unacked data and sends [`LinkMsg::Rejoin`], prompting each peer to
 //!   answer with a [`LinkMsg::Snapshot`] of its link state and an
@@ -29,7 +29,7 @@
 //! The layer is a pure state machine like everything else in this crate:
 //! wire traffic goes out through a caller-supplied buffer, current time
 //! comes in as a parameter, and the single timer the host must provide is
-//! exposed via [`ReliableLink::next_deadline`].
+//! exposed via [`Transport::next_deadline`].
 //!
 //! [`LinkConfig::sabotaged`] disables dedup and retransmission — a
 //! deliberately broken link used by the negative-path conformance tests
@@ -221,6 +221,47 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Outgoing wire frames, addressed by destination.
+pub type Wire<F> = Vec<(ProcessId, F)>;
+
+/// The channel sublayer between a replica host and the network, framing
+/// the protocol's payloads `M`. IO-free like everything in this crate:
+/// frames go into a caller-owned buffer, time comes in as a parameter.
+pub trait Transport<M> {
+    /// What crosses the wire.
+    type Frame;
+
+    /// Frames `payload` for `to`, appending the wire traffic to `wire`.
+    fn send(&mut self, to: ProcessId, payload: M, now_ns: u64, wire: &mut Wire<Self::Frame>);
+
+    /// Feeds a wire frame from `from`: payloads it releases are appended
+    /// to `ready` in per-sender order, control traffic to `wire`.
+    fn receive(
+        &mut self,
+        from: ProcessId,
+        frame: Self::Frame,
+        now_ns: u64,
+        wire: &mut Wire<Self::Frame>,
+        ready: &mut Vec<M>,
+    );
+
+    /// Fires the transport's due timers (a harmless no-op when early).
+    fn on_tick(&mut self, _now_ns: u64, _wire: &mut Wire<Self::Frame>) {}
+
+    /// The hosting process restarted after a crash window.
+    fn on_restart(&mut self, _now_ns: u64, _wire: &mut Wire<Self::Frame>) {}
+
+    /// When [`Transport::on_tick`] next has work, if ever.
+    fn next_deadline(&self) -> Option<u64> {
+        None
+    }
+
+    /// Transport counters.
+    fn stats(&self) -> LinkStats {
+        LinkStats::default()
+    }
+}
+
 impl<M: Clone> ReliableLink<M> {
     /// Creates the endpoint for process `me` of `n`.
     pub fn new(me: ProcessId, n: usize, cfg: LinkConfig) -> Self {
@@ -235,33 +276,61 @@ impl<M: Clone> ReliableLink<M> {
         }
     }
 
-    /// Link activity counters.
-    pub fn stats(&self) -> LinkStats {
-        self.stats
-    }
-
     /// Total payloads currently sent but not cumulatively acknowledged.
     pub fn unacked(&self) -> usize {
         self.senders.values().map(|s| s.unacked.len()).sum()
     }
 
+    /// Feeds a wire frame from `from`. Returns the payloads that became
+    /// deliverable to the layer above, in per-sender FIFO order; control
+    /// traffic produced in response is appended to `wire`.
+    pub fn on_wire(
+        &mut self,
+        from: ProcessId,
+        msg: LinkMsg<M>,
+        now_ns: u64,
+        wire: &mut Vec<(ProcessId, LinkMsg<M>)>,
+    ) -> Vec<M> {
+        let mut ready = Vec::new();
+        self.receive(from, msg, now_ns, wire, &mut ready);
+        ready
+    }
+
+    fn apply_ack(&mut self, from: ProcessId, upto: u64, now_ns: u64) {
+        let Some(s) = self.senders.get_mut(&from) else {
+            return;
+        };
+        let before = s.unacked.len();
+        s.unacked = s.unacked.split_off(&upto);
+        if s.unacked.len() < before {
+            // Progress: restart the timer from the base timeout.
+            s.rto_ns = self.cfg.rto_ns;
+            s.deadline = if s.unacked.is_empty() {
+                None
+            } else {
+                Some(now_ns + s.rto_ns)
+            };
+        }
+    }
+}
+
+impl<M: Clone> Transport<M> for ReliableLink<M> {
+    type Frame = LinkMsg<M>;
+
+    fn stats(&self) -> LinkStats {
+        self.stats
+    }
+
     /// The earliest retransmission deadline across all peers, if any data
     /// is in flight (always `None` when retransmission is disabled). The
-    /// host should arrange a call to [`ReliableLink::on_tick`] at (or
+    /// host should arrange a call to [`Transport::on_tick`] at (or
     /// after) this time.
-    pub fn next_deadline(&self) -> Option<u64> {
+    fn next_deadline(&self) -> Option<u64> {
         self.senders.values().filter_map(|s| s.deadline).min()
     }
 
-    /// Sends `payload` to `to`, stamping it into that stream. The framed
-    /// wire message is appended to `wire`.
-    pub fn send(
-        &mut self,
-        to: ProcessId,
-        payload: M,
-        now_ns: u64,
-        wire: &mut Vec<(ProcessId, LinkMsg<M>)>,
-    ) {
+    /// Stamps `payload` into the stream to `to`.
+    fn send(&mut self, to: ProcessId, payload: M, now_ns: u64, wire: &mut Wire<LinkMsg<M>>) {
         let cfg = self.cfg;
         let s = self
             .senders
@@ -279,47 +348,43 @@ impl<M: Clone> ReliableLink<M> {
         wire.push((to, LinkMsg::Data { seq, payload }));
     }
 
-    /// Feeds a wire frame from `from`. Returns the payloads that became
-    /// deliverable to the layer above, in per-sender FIFO order; control
-    /// traffic produced in response is appended to `wire`.
-    pub fn on_wire(
+    fn receive(
         &mut self,
         from: ProcessId,
         msg: LinkMsg<M>,
         now_ns: u64,
-        wire: &mut Vec<(ProcessId, LinkMsg<M>)>,
-    ) -> Vec<M> {
+        wire: &mut Wire<LinkMsg<M>>,
+        ready: &mut Vec<M>,
+    ) {
         match msg {
             LinkMsg::Data { seq, payload } => {
                 self.stats.data_received += 1;
                 if !self.cfg.dedup {
                     // Sabotaged: raw arrivals pass straight through.
                     self.stats.delivered += 1;
-                    return vec![payload];
+                    ready.push(payload);
+                    return;
                 }
                 let r = self.recv.entry(from).or_insert_with(RecvState::new);
-                let mut ready = Vec::new();
                 if seq < r.next_expected || r.buffer.contains_key(&seq) {
                     self.stats.duplicates_discarded += 1;
                 } else {
                     r.buffer.insert(seq, payload);
                     while let Some(p) = r.buffer.remove(&r.next_expected) {
                         r.next_expected += 1;
+                        self.stats.delivered += 1;
                         ready.push(p);
                     }
-                    self.stats.delivered += ready.len() as u64;
                 }
                 // Ack even on duplicates: the original ack may have been
                 // lost, and re-acking is what stops the retransmissions.
                 let upto = r.next_expected;
                 self.stats.acks_sent += 1;
                 wire.push((from, LinkMsg::Ack { upto }));
-                ready
             }
             LinkMsg::Ack { upto } => {
                 self.stats.acks_received += 1;
                 self.apply_ack(from, upto, now_ns);
-                Vec::new()
             }
             LinkMsg::Rejoin => {
                 // The peer lost its in-flight traffic: retransmit at once
@@ -351,27 +416,25 @@ impl<M: Clone> ReliableLink<M> {
                 let received = self.recv.get(&from).map(|r| r.next_expected).unwrap_or(0);
                 self.stats.acks_sent += 1;
                 wire.push((from, LinkMsg::Snapshot { sent, received }));
-                Vec::new()
             }
             LinkMsg::Snapshot { sent: _, received } => {
                 // The peer's receive frontier is a cumulative ack for our
                 // stream; retransmission covers anything past it.
                 self.stats.acks_received += 1;
                 self.apply_ack(from, received, now_ns);
-                Vec::new()
             }
         }
     }
 
     /// Retransmits every overdue unacked frame. Call at (or after) the
-    /// time reported by [`ReliableLink::next_deadline`].
+    /// time reported by [`Transport::next_deadline`].
     ///
     /// Each retry re-arms the timer with a *decorrelated-jitter* backoff
     /// (`rto′ = uniform[rto_ns, min(max_rto_ns, 3·rto)]`): the expected
     /// timeout still grows geometrically toward the cap, but endpoints
     /// that lost traffic at the same instant spread their retries instead
     /// of retransmitting in lockstep storms.
-    pub fn on_tick(&mut self, now_ns: u64, wire: &mut Vec<(ProcessId, LinkMsg<M>)>) {
+    fn on_tick(&mut self, now_ns: u64, wire: &mut Wire<LinkMsg<M>>) {
         if !self.cfg.retransmit {
             return;
         }
@@ -405,7 +468,7 @@ impl<M: Clone> ReliableLink<M> {
     /// Runs the crash-recovery handshake: retransmits this endpoint's own
     /// unacked data (acks for it may have died with the outage) and asks
     /// every peer to resynchronize via [`LinkMsg::Rejoin`].
-    pub fn on_restart(&mut self, now_ns: u64, wire: &mut Vec<(ProcessId, LinkMsg<M>)>) {
+    fn on_restart(&mut self, now_ns: u64, wire: &mut Wire<LinkMsg<M>>) {
         let base_rto = self.cfg.rto_ns;
         let retransmit = self.cfg.retransmit;
         for (&peer, s) in self.senders.iter_mut() {
@@ -434,22 +497,23 @@ impl<M: Clone> ReliableLink<M> {
             }
         }
     }
+}
 
-    fn apply_ack(&mut self, from: ProcessId, upto: u64, now_ns: u64) {
-        let Some(s) = self.senders.get_mut(&from) else {
-            return;
-        };
-        let before = s.unacked.len();
-        s.unacked = s.unacked.split_off(&upto);
-        if s.unacked.len() < before {
-            // Progress: restart the timer from the base timeout.
-            s.rto_ns = self.cfg.rto_ns;
-            s.deadline = if s.unacked.is_empty() {
-                None
-            } else {
-                Some(now_ns + s.rto_ns)
-            };
-        }
+/// The passthrough transport: the frame is the payload, with no acks or
+/// timers. Exact over the paper's reliable reordering channels, which the
+/// fair-weather simulator and the model checker provide.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Direct;
+
+impl<M> Transport<M> for Direct {
+    type Frame = M;
+
+    fn send(&mut self, to: ProcessId, payload: M, _now_ns: u64, wire: &mut Wire<M>) {
+        wire.push((to, payload));
+    }
+
+    fn receive(&mut self, _: ProcessId, frame: M, _: u64, _: &mut Wire<M>, ready: &mut Vec<M>) {
+        ready.push(frame);
     }
 }
 

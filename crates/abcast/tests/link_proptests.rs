@@ -5,7 +5,7 @@
 //! **per-sender FIFO order** — the channel contract the Section 5
 //! protocols (and both abcast implementations) are proven against.
 
-use moc_abcast::{LinkConfig, LinkMsg, ReliableLink};
+use moc_abcast::{LinkConfig, LinkMsg, ReliableLink, Transport};
 use moc_core::ids::ProcessId;
 use proptest::prelude::*;
 

@@ -6,7 +6,7 @@
 //! sharpens that story with a classic multi-pass analyzer over the
 //! m-operation DSL of [`moc_core::program`]:
 //!
-//! - [`cfg`] builds basic-block control-flow graphs with feasible-edge
+//! - [`mod@cfg`] builds basic-block control-flow graphs with feasible-edge
 //!   branch folding;
 //! - [`dataflow`] is a small forward/backward fixpoint framework;
 //! - [`passes`] produces a [`ProgramSummary`] (refined `may_read` /

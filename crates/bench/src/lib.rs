@@ -901,7 +901,7 @@ fn checker_families(default_budget: u64) -> Vec<(String, History, bool, u64)> {
 /// The benchmark behind `BENCH_checker.json`: naive vs the precedence-
 /// pruned parallel engine (at 1/2/4/8 threads) vs the Theorem 7 fast path
 /// over the generator families. `budget` caps the naive search's node
-/// count (per-family overrides apply, see [`checker_families`]).
+/// count (some families override it with a tighter budget).
 ///
 /// Wall times are the best of three runs; node counts and verdicts are
 /// deterministic, and the experiment asserts they agree across thread

@@ -606,7 +606,7 @@ pub fn find_legal_extension_pruned(
 /// Like [`find_legal_extension_pruned`], but over a pre-built graph (so
 /// callers that also need certificates saturate only once).
 ///
-/// Execution is delegated to the parallel engine ([`crate::engine`]): each
+/// Execution is delegated to the parallel engine: each
 /// interaction component is peeled to its forced prefix, its branch
 /// frontier (the legal first moves) becomes work-stealable tasks, and the
 /// deterministic fold over (component, branch) results yields the same

@@ -21,17 +21,23 @@
 //! * delivering any in-flight message (the network may reorder anything);
 //! * invoking the next scripted m-operation of any idle process.
 //!
-//! Virtual time is the exploration step index, a valid real-time axis for
-//! `~t` because it linearizes the actual event order of the schedule.
+//! Virtual time grows with every exploration step, a valid real-time axis
+//! for `~t` because it linearizes the actual event order of the schedule.
+//! Each process is a [`ReplicaHost`] over [`Direct`] channels, cloned at
+//! every branch; the explorer itself is the network.
 
-use moc_abcast::{OrderingConfig, Outbox};
+use moc_abcast::{Direct, OrderingConfig};
 use moc_checker::conditions::{check_with_relation, Condition, Strategy};
 use moc_core::constraints::Constraint;
 use moc_core::history::History;
-use moc_core::ids::{MOpId, ProcessId};
-use moc_core::mop::{EventTime, MOpRecord};
+use moc_core::ids::ProcessId;
+use moc_core::mop::MOpRecord;
 use moc_core::relations::{process_order, reads_from, real_time, Relation};
-use moc_protocol::{Completion, MOperation, OpSpec, ReplicaProtocol};
+use moc_protocol::harness::ww_relation;
+use moc_protocol::{HostEvent, HostOut, OpSpec, ReplicaHost, ReplicaProtocol};
+
+/// Virtual time per exploration step.
+const STEP_NS: u64 = 10;
 
 /// Limits for an exploration run.
 #[derive(Debug, Clone, Copy)]
@@ -103,58 +109,41 @@ struct Envelope<M> {
     msg: M,
 }
 
-struct Pending {
-    id: MOpId,
-    invoked_step: u64,
-}
-
 /// One node of the exploration tree. Cloned at every branch.
-struct State<R: ReplicaProtocol + Clone>
-where
-    R::Msg: Clone,
-{
-    replicas: Vec<R>,
+#[derive(Clone)]
+struct State<R: ReplicaProtocol + Clone> {
+    hosts: Vec<ReplicaHost<R, Direct>>,
     inflight: Vec<Envelope<R::Msg>>,
     script_pos: Vec<usize>,
-    pending: Vec<Option<Pending>>,
-    next_seq: Vec<u32>,
     records: Vec<MOpRecord>,
-    step: u64,
     duplicates_used: u32,
     /// The fail-stopped process, if a leader-crash move was taken. It
     /// never acts again; messages addressed to it vanish.
     crashed: Option<usize>,
-    /// Virtual clock fed to `on_tick` during quiescent-time
-    /// phases.
+    /// Virtual time: advances by [`STEP_NS`] per move and by a
+    /// millisecond per quiescent-time tick round.
     clock_ns: u64,
 }
 
-impl<R: ReplicaProtocol + Clone> Clone for State<R>
-where
-    R::Msg: Clone,
-{
-    fn clone(&self) -> Self {
-        State {
-            replicas: self.replicas.clone(),
-            inflight: self.inflight.clone(),
-            script_pos: self.script_pos.clone(),
-            pending: self
-                .pending
-                .iter()
-                .map(|p| {
-                    p.as_ref().map(|p| Pending {
-                        id: p.id,
-                        invoked_step: p.invoked_step,
-                    })
-                })
-                .collect(),
-            next_seq: self.next_seq.clone(),
-            records: self.records.clone(),
-            step: self.step,
-            duplicates_used: self.duplicates_used,
-            crashed: self.crashed,
-            clock_ns: self.clock_ns,
+impl<R: ReplicaProtocol + Clone> State<R> {
+    /// Collects what host `p`'s step produced: frames to live processes
+    /// go in flight, retirements are recorded. Returns whether anything
+    /// happened.
+    fn absorb(&mut self, p: usize, out: &mut HostOut<R::Msg>) -> bool {
+        let mut progressed = !out.events.is_empty();
+        let from = ProcessId::new(p as u32);
+        for (to, msg) in out.frames.drain(..) {
+            if self.crashed != Some(to.index()) {
+                self.inflight.push(Envelope { from, to, msg });
+                progressed = true;
+            }
         }
+        for ev in out.events.drain(..) {
+            if let HostEvent::Completed { record, .. } = ev {
+                self.records.push(record);
+            }
+        }
+        progressed
     }
 }
 
@@ -170,10 +159,7 @@ enum Move {
     CrashLeader,
 }
 
-struct Explorer<'a, R: ReplicaProtocol + Clone>
-where
-    R::Msg: Clone,
-{
+struct Explorer<'a, R: ReplicaProtocol + Clone> {
     scripts: &'a [Vec<OpSpec>],
     num_objects: usize,
     condition: Condition,
@@ -201,22 +187,16 @@ where
 {
     let n = scripts.len();
     let state = State {
-        replicas: (0..n)
+        hosts: (0..n)
             .map(|p| {
-                R::new(
-                    ProcessId::new(p as u32),
-                    n,
-                    num_objects,
-                    &OrderingConfig::default(),
-                )
+                let me = ProcessId::new(p as u32);
+                let replica = R::new(me, n, num_objects, &OrderingConfig::default());
+                ReplicaHost::new(me, n, replica, Direct)
             })
             .collect(),
         inflight: Vec::new(),
         script_pos: vec![0; n],
-        pending: (0..n).map(|_| None).collect(),
-        next_seq: vec![0; n],
         records: Vec::new(),
-        step: 0,
         duplicates_used: 0,
         crashed: None,
         clock_ns: 0,
@@ -239,23 +219,18 @@ where
     }
 }
 
-impl<R: ReplicaProtocol + Clone> Explorer<'_, R>
-where
-    R::Msg: Clone,
-{
+impl<R: ReplicaProtocol + Clone> Explorer<'_, R> {
     fn moves(&self, s: &State<R>) -> Vec<Move> {
         let mut moves: Vec<Move> = (0..s.inflight.len()).map(Move::Deliver).collect();
         if s.duplicates_used < self.limits.max_duplicates {
             moves.extend((0..s.inflight.len()).map(Move::Duplicate));
         }
-        for p in 0..s.replicas.len() {
-            if s.crashed == Some(p) {
-                continue;
-            }
-            if s.pending[p].is_none() && s.script_pos[p] < self.scripts[p].len() {
-                moves.push(Move::Invoke(p));
-            }
-        }
+        let idle = |p: &usize| {
+            s.crashed != Some(*p)
+                && s.hosts[*p].in_flight() == 0
+                && s.script_pos[*p] < self.scripts[*p].len()
+        };
+        moves.extend((0..s.hosts.len()).filter(idle).map(Move::Invoke));
         if s.crashed.is_none() && self.limits.max_leader_crashes > 0 {
             moves.push(Move::CrashLeader);
         }
@@ -263,85 +238,53 @@ where
     }
 
     fn apply(&self, s: &mut State<R>, mv: Move) {
-        s.step += 1;
-        let mut out;
-        let acting: usize;
-        match mv {
+        s.clock_ns += STEP_NS;
+        let now = s.clock_ns;
+        let mut out = HostOut::default();
+        let acting = match mv {
             Move::Deliver(i) => {
                 let env = s.inflight.swap_remove(i);
-                acting = env.to.index();
-                out = Outbox::new(s.replicas.len());
-                s.replicas[acting].on_message(env.from, env.msg, &mut out);
+                s.hosts[env.to.index()].on_frame(env.from, env.msg, now, &mut out);
+                env.to.index()
             }
             Move::Duplicate(i) => {
                 s.duplicates_used += 1;
                 let env = s.inflight[i].clone();
-                acting = env.to.index();
-                out = Outbox::new(s.replicas.len());
-                s.replicas[acting].on_message(env.from, env.msg, &mut out);
+                s.hosts[env.to.index()].on_frame(env.from, env.msg, now, &mut out);
+                env.to.index()
             }
             Move::Invoke(p) => {
-                acting = p;
                 let spec = &self.scripts[p][s.script_pos[p]];
                 s.script_pos[p] += 1;
-                let id = MOpId::new(ProcessId::new(p as u32), s.next_seq[p]);
-                s.next_seq[p] += 1;
-                s.pending[p] = Some(Pending {
-                    id,
-                    invoked_step: s.step,
-                });
-                let mop = MOperation::new(id, spec.program.clone(), spec.args.clone());
-                out = Outbox::new(s.replicas.len());
-                s.replicas[p].invoke(mop, &mut out);
+                s.hosts[p].invoke(spec.program.clone(), spec.args.clone(), now, &mut out);
+                p
             }
             Move::CrashLeader => {
                 s.crashed = Some(0);
                 s.inflight.retain(|env| env.to.index() != 0);
                 return;
             }
-        }
-        let me = ProcessId::new(acting as u32);
-        for (to, msg) in out.drain() {
-            if s.crashed == Some(to.index()) {
-                continue;
-            }
-            s.inflight.push(Envelope { from: me, to, msg });
-        }
-        for c in s.replicas[acting].drain_completions() {
-            self.complete(s, acting, c);
-        }
+        };
+        s.absorb(acting, &mut out);
     }
 
     /// Lets virtual time pass at network quiescence: ticks every live
-    /// replica's broadcast with an ever-advancing clock, so suspicion
-    /// timers fire and view changes run. Returns `true` as soon as a
-    /// round emits messages or completes an operation; `false` if the
-    /// system stays silent — genuine lack of progress.
+    /// host with an ever-advancing clock, so suspicion timers fire and
+    /// view changes run. Returns `true` as soon as a round emits messages
+    /// or completes an operation; `false` if the system stays silent —
+    /// genuine lack of progress.
     fn tick_until_progress(&self, s: &mut State<R>) -> bool {
         const ROUNDS: u32 = 32;
         const TICK_NS: u64 = 1_000_000;
+        let mut out = HostOut::default();
         for _ in 0..ROUNDS {
-            s.step += 1;
             s.clock_ns += TICK_NS;
+            let now = s.clock_ns;
             let mut progressed = false;
-            for p in 0..s.replicas.len() {
-                if s.crashed == Some(p) {
-                    continue;
-                }
-                let mut out = Outbox::new(s.replicas.len());
-                s.replicas[p].on_tick(s.clock_ns, &mut out);
-                let me = ProcessId::new(p as u32);
-                for (to, msg) in out.drain() {
-                    if s.crashed == Some(to.index()) {
-                        continue;
-                    }
-                    s.inflight.push(Envelope { from: me, to, msg });
-                    progressed = true;
-                }
-                for c in s.replicas[p].drain_completions() {
-                    self.complete(s, p, c);
-                    progressed = true;
-                }
+            let crashed = s.crashed;
+            for p in (0..s.hosts.len()).filter(|&p| crashed != Some(p)) {
+                s.hosts[p].on_tick(now, &mut out);
+                progressed |= s.absorb(p, &mut out);
             }
             if progressed {
                 return true;
@@ -353,33 +296,10 @@ where
     /// Whether some process that is still alive has an operation waiting
     /// for a response.
     fn live_pending(s: &State<R>) -> bool {
-        s.pending
+        s.hosts
             .iter()
             .enumerate()
-            .any(|(p, pend)| pend.is_some() && s.crashed != Some(p))
-    }
-
-    fn complete(&self, s: &mut State<R>, p: usize, c: Completion) {
-        let Some(pending) = s.pending[p].take() else {
-            // Orphan completion: a duplicated message made the replica
-            // apply (and complete) the same m-operation twice. Only the
-            // first completion is the client-visible response event.
-            debug_assert!(self.limits.max_duplicates > 0, "orphan without duplication");
-            return;
-        };
-        if pending.id != c.id {
-            s.pending[p] = Some(pending);
-            return;
-        }
-        s.records.push(MOpRecord {
-            id: c.id,
-            invoked_at: EventTime::from_nanos(pending.invoked_step * 10),
-            responded_at: EventTime::from_nanos(s.step * 10 + 5),
-            ops: c.ops,
-            outputs: c.outputs,
-            treated_as: c.treated_as,
-            label: c.label,
-        });
+            .any(|(p, h)| h.in_flight() > 0 && s.crashed != Some(p))
     }
 
     fn dfs(&mut self, s: State<R>, depth: usize) {
@@ -436,21 +356,14 @@ where
     fn finish_schedule(&mut self, s: State<R>) {
         self.schedules += 1;
         debug_assert!(
-            s.pending
-                .iter()
-                .enumerate()
-                .all(|(p, pend)| pend.is_none() || s.crashed == Some(p)),
+            !Self::live_pending(&s),
             "quiescent schedule left a live operation pending"
         );
-        let delivery_log = s.replicas[0].delivery_log().to_vec();
         let history =
             History::new(self.num_objects, s.records).expect("schedule produced a valid history");
-        let mut rel = base_relation(&history, self.condition);
-        for pair in delivery_log.windows(2) {
-            if let (Some(a), Some(b)) = (history.idx_of(pair[0]), history.idx_of(pair[1])) {
-                rel.add(a, b);
-            }
-        }
+        let delivery_log = s.hosts[0].replica().delivery_log();
+        let rel =
+            base_relation(&history, self.condition).union(&ww_relation(&history, delivery_log));
         let verdict = check_with_relation(
             &history,
             self.condition,

@@ -2,11 +2,16 @@
 //! simulator, with the [`moc_abcast::ReliableLink`] sublayer between the
 //! replicas and the wire.
 //!
-//! This is [`crate::harness`] hardened for hostile networks. The stack is
+//! This is [`crate::harness`] hardened for hostile networks; both run
+//! the same simulator node. The stack is
 //!
 //! ```text
-//!   client script  →  replica protocol (msc / mlin / aggregate)
-//!                  →  reliable link (seq/ack/retransmit/dedup/rejoin)
+//!   client script  →  simulator node (think and tick timers, sentinel)
+//!                  →  replica host (ids, admission gate, FIFO
+//!                     retirement, deadlines)
+//!                  →  replica protocol (msc / mlin / aggregate)
+//!                  →  transport: reliable link (seq/ack/retransmit/
+//!                     dedup/rejoin), or Direct for run_cluster
 //!                  →  moc-sim network with a FaultPlan (drop/dup/
 //!                     partition/crash)
 //! ```
@@ -25,23 +30,25 @@
 //! anomaly tally plus a history the checker can refute. Orphaned
 //! completions, unfinished scripts, delivery-log divergence and
 //! non-quiescence are all recorded in [`ChaosAnomalies`] instead of
-//! tripping asserts.
+//! tripping asserts; orphans also reach the sentinel.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use moc_abcast::{Abcast, LinkMsg, OrderingConfig, Outbox, ReliableLink};
+use moc_abcast::{Abcast, OrderingConfig, ReliableLink, Transport};
 pub use moc_abcast::{LinkConfig, LinkStats};
 use moc_core::history::History;
 use moc_core::ids::{MOpId, ProcessId};
-use moc_core::mop::{EventTime, MOpClass, MOpRecord};
+use moc_core::mop::{MOpClass, MOpRecord};
 use moc_monitor::OnlineMonitor;
 pub use moc_monitor::{MonitorConfig, MonitorRunSummary};
 use moc_sim::{Context, FaultPlan, NetworkConfig, Node, RunStats, TimerId, World};
 
-use crate::harness::{ClientScript, OpSpec};
-use crate::{channel_logs, MOperation, ReplicaMetrics, ReplicaProtocol};
+use crate::harness::{percentile, ww_relation, ClientScript, OpSpec};
+use crate::host::{HostEvent, HostOut, ReplicaHost};
+use crate::store::ReplicaStore;
+use crate::{channel_logs, ReplicaMetrics, ReplicaProtocol};
 
 /// Configuration of a chaos run: the cluster, the fault plan, and the
 /// link-layer tuning.
@@ -246,26 +253,13 @@ impl ChaosRunReport {
 
     /// The p-th percentile (0..=100) response time for `class`.
     pub fn percentile_latency(&self, class: MOpClass, p: f64) -> Option<u64> {
-        let mut xs: Vec<u64> = self
-            .latencies
-            .iter()
-            .filter(|(c, _)| *c == class)
-            .map(|&(_, l)| l)
-            .collect();
-        if xs.is_empty() {
-            return None;
-        }
-        xs.sort_unstable();
-        let rank = ((p / 100.0) * (xs.len() - 1) as f64).round() as usize;
-        Some(xs[rank.min(xs.len() - 1)])
+        percentile(&self.latencies, class, p)
     }
 
     /// Aggregated group-commit counters across all replicas.
     pub fn total_batch_stats(&self) -> moc_abcast::BatchStats {
         let mut t = moc_abcast::BatchStats::default();
-        for s in &self.batch_stats {
-            t.merge(*s);
-        }
+        self.batch_stats.iter().for_each(|s| t.merge(*s));
         t
     }
 
@@ -280,133 +274,67 @@ impl ChaosRunReport {
     /// [`crate::harness::RunReport::ww_relation`]). `None` when the
     /// history is invalid.
     pub fn ww_relation(&self) -> Option<moc_core::relations::Relation> {
-        use moc_core::relations::{process_order, reads_from};
         let h = self.history.as_ref().ok()?;
-        let mut rel = process_order(h).union(&reads_from(h));
-        for pair in self.update_order.windows(2) {
-            if let (Some(a), Some(b)) = (h.idx_of(pair[0]), h.idx_of(pair[1])) {
-                rel.add(a, b);
-            }
-        }
-        Some(rel)
+        Some(ww_relation(h, &self.update_order))
     }
 }
 
-/// A replica + scripted client + reliable-link endpoint, hosted as one
-/// fault-tolerant simulator node.
-struct ChaosNode<R: ReplicaProtocol> {
-    me: ProcessId,
-    n: usize,
-    replica: R,
-    link: ReliableLink<R::Msg>,
+/// A replica host plus its closed-loop scripted client (the next
+/// invocation comes a think time after a retirement), as a simulator node.
+struct SimNode<R: ReplicaProtocol, W: Transport<R::Msg>> {
+    host: ReplicaHost<R, W>,
     script: VecDeque<OpSpec>,
-    think_ns: u64,
     start_delay_ns: u64,
-    next_seq: u32,
-    inflight: Option<(MOpId, u64)>,
-    records: Vec<MOpRecord>,
-    latencies: Vec<(MOpClass, u64)>,
-    /// The currently armed think timer; any other timer is a link tick.
+    think_ns: u64,
+    /// The currently armed think timer; any other timer is a tick.
     think_timer: Option<TimerId>,
-    /// The earliest link deadline a tick timer is armed for.
+    /// The earliest host deadline a tick timer is armed for.
     tick_deadline: Option<u64>,
-    orphan_completions: u64,
+    records: Vec<MOpRecord>,
     /// The run-wide online sentinel, shared by every node (the simulator
     /// is single-threaded, so a `Rc<RefCell<..>>` suffices).
     monitor: Option<Rc<RefCell<OnlineMonitor>>>,
+    out: HostOut<W::Frame>,
 }
 
-impl<R: ReplicaProtocol> ChaosNode<R> {
-    /// Frames the replica's outbox through the link and hands the wire
-    /// traffic to the simulator.
-    fn relay(&mut self, out: &mut Outbox<R::Msg>, ctx: &mut Context<'_, LinkMsg<R::Msg>>) {
-        let now = ctx.now().as_nanos();
-        let mut wire = Vec::new();
-        for (to, m) in out.drain() {
-            self.link.send(to, m, now, &mut wire);
-        }
-        for (to, f) in wire {
+impl<R: ReplicaProtocol, W: Transport<R::Msg>> SimNode<R, W> {
+    /// Sends the host's frames, records its events, feeds the sentinel, and
+    /// arms a tick for the host's next deadline unless one at least as
+    /// early is armed (superseded ticks fire as harmless early ticks).
+    fn flush(&mut self, ctx: &mut Context<'_, W::Frame>) {
+        for (to, f) in self.out.frames.drain(..) {
             ctx.send(to, f);
         }
-    }
-
-    /// Arms a tick timer for the earliest pending deadline — link
-    /// retransmission or broadcast failover suspicion, whichever comes
-    /// first — unless one at least as early is already armed. Superseded
-    /// timers still fire and run a (harmless, idempotent) early tick.
-    fn arm_tick(&mut self, ctx: &mut Context<'_, LinkMsg<R::Msg>>) {
-        let deadlines = [
-            self.link.next_deadline(),
-            self.replica.ordering().next_deadline(),
-        ];
-        let Some(d) = deadlines.into_iter().flatten().min() else {
+        for ev in self.out.events.drain(..) {
+            if let Some(m) = &self.monitor {
+                ev.clone().feed(&mut m.borrow_mut());
+            }
+            // One closed-loop client never overlaps its invocations, so
+            // recorded times are its true ones.
+            if let HostEvent::Completed { record, .. } = ev {
+                self.records.push(record);
+                if !self.script.is_empty() {
+                    self.think_timer = Some(ctx.set_timer(self.think_ns.max(1)));
+                }
+            }
+        }
+        let Some(d) = self.host.next_deadline() else {
             return;
         };
         if self.tick_deadline.is_none_or(|armed| armed > d) {
-            let delay = d.saturating_sub(ctx.now().as_nanos()).max(1);
-            ctx.set_timer(delay);
+            ctx.set_timer(d.saturating_sub(ctx.now().as_nanos()).max(1));
             self.tick_deadline = Some(d);
-        }
-    }
-
-    fn invoke_next(&mut self, ctx: &mut Context<'_, LinkMsg<R::Msg>>) {
-        if self.inflight.is_some() {
-            // A stale think timer (e.g. re-armed across a crash window):
-            // the previous m-operation is still being recovered.
-            return;
-        }
-        let Some(spec) = self.script.pop_front() else {
-            return;
-        };
-        let id = MOpId::new(self.me, self.next_seq);
-        self.next_seq += 1;
-        self.inflight = Some((id, ctx.now().as_nanos()));
-        if let Some(m) = &self.monitor {
-            m.borrow_mut().on_invoke(id, ctx.now().as_nanos());
-        }
-        let mop = MOperation::new(id, spec.program, spec.args);
-        let mut out = Outbox::new(self.n);
-        self.replica.invoke(mop, &mut out);
-        self.relay(&mut out, ctx);
-        self.drain(ctx);
-        self.arm_tick(ctx);
-    }
-
-    fn drain(&mut self, ctx: &mut Context<'_, LinkMsg<R::Msg>>) {
-        for c in self.replica.drain_completions() {
-            match self.inflight {
-                Some((id, invoked_ns)) if c.id == id => {
-                    self.inflight = None;
-                    let now = ctx.now().as_nanos();
-                    let record = MOpRecord {
-                        id,
-                        invoked_at: EventTime::from_nanos(invoked_ns),
-                        responded_at: EventTime::from_nanos(now),
-                        ops: c.ops,
-                        outputs: c.outputs,
-                        treated_as: c.treated_as,
-                        label: c.label,
-                    };
-                    if let Some(m) = &self.monitor {
-                        m.borrow_mut().on_complete(record.clone(), now);
-                    }
-                    self.latencies.push((record.treated_as, now - invoked_ns));
-                    self.records.push(record);
-                    if !self.script.is_empty() {
-                        self.think_timer = Some(ctx.set_timer(self.think_ns.max(1)));
-                    }
-                }
-                // A completion with no (or the wrong) inflight op: a
-                // duplicated broadcast frame was applied twice. Tally it;
-                // the history keeps the first completion only.
-                _ => self.orphan_completions += 1,
-            }
         }
     }
 }
 
-impl<R: ReplicaProtocol> Node for ChaosNode<R> {
-    type Msg = LinkMsg<R::Msg>;
+impl<R, W> Node for SimNode<R, W>
+where
+    R: ReplicaProtocol,
+    W: Transport<R::Msg>,
+    W::Frame: Clone,
+{
+    type Msg = W::Frame;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
         if !self.script.is_empty() {
@@ -415,65 +343,40 @@ impl<R: ReplicaProtocol> Node for ChaosNode<R> {
     }
 
     fn on_message(&mut self, from: ProcessId, frame: Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
-        let now = ctx.now().as_nanos();
-        let mut wire = Vec::new();
-        let ready = self.link.on_wire(from, frame, now, &mut wire);
-        for (to, f) in wire {
-            ctx.send(to, f);
-        }
-        for m in ready {
-            let mut out = Outbox::new(self.n);
-            self.replica.on_message(from, m, &mut out);
-            self.relay(&mut out, ctx);
-        }
-        self.drain(ctx);
-        self.arm_tick(ctx);
+        self.host
+            .on_frame(from, frame, ctx.now().as_nanos(), &mut self.out);
+        self.flush(ctx);
     }
 
     fn on_timer(&mut self, timer: TimerId, ctx: &mut Context<'_, Self::Msg>) {
+        let now = ctx.now().as_nanos();
         if self.think_timer == Some(timer) {
             self.think_timer = None;
-            self.invoke_next(ctx);
-        } else {
-            // A link/abcast tick (possibly superseded or early — both
-            // on_tick hooks only act on deadlines that are actually due).
-            self.tick_deadline = None;
-            let now = ctx.now().as_nanos();
-            let mut wire = Vec::new();
-            self.link.on_tick(now, &mut wire);
-            for (to, f) in wire {
-                ctx.send(to, f);
+            // A stale think timer (re-armed across a crash window) finds
+            // the previous m-operation still being recovered.
+            if self.host.in_flight() > 0 {
+                return;
             }
-            // A due suspicion timer can start or escalate a view change,
-            // and a completed change can release buffered deliveries.
-            let mut out = Outbox::new(self.n);
-            self.replica.on_tick(now, &mut out);
-            self.relay(&mut out, ctx);
-            self.drain(ctx);
-            self.arm_tick(ctx);
+            let Some(spec) = self.script.pop_front() else {
+                return;
+            };
+            self.host
+                .invoke(spec.program, spec.args, now, &mut self.out);
+        } else {
+            self.tick_deadline = None;
+            self.host.on_tick(now, &mut self.out);
         }
+        self.flush(ctx);
     }
 
     fn on_restart(&mut self, ctx: &mut Context<'_, Self::Msg>) {
         // Timers armed before the outage were suppressed with it; the
-        // link's rejoin handshake recovers in-flight protocol traffic.
-        let now = ctx.now().as_nanos();
-        let mut wire = Vec::new();
-        self.link.on_restart(now, &mut wire);
-        for (to, f) in wire {
-            ctx.send(to, f);
-        }
-        // Let the broadcast react to its own outage: a restarted fixed
-        // sequencer fail-stops, a view-based one resyncs its suspicion
-        // clock and catches up as a follower.
-        let mut out = Outbox::new(self.n);
-        self.replica.on_restart(now, &mut out);
-        self.relay(&mut out, ctx);
-        self.drain(ctx);
-        self.think_timer = None;
+        // transport's rejoin handshake recovers in-flight traffic.
+        self.host.on_restart(ctx.now().as_nanos(), &mut self.out);
         self.tick_deadline = None;
-        self.arm_tick(ctx);
-        if self.inflight.is_none() && !self.script.is_empty() {
+        self.flush(ctx);
+        self.think_timer = None;
+        if self.host.in_flight() == 0 && !self.script.is_empty() {
             self.think_timer = Some(ctx.set_timer(self.think_ns.max(1)));
         }
     }
@@ -482,10 +385,10 @@ impl<R: ReplicaProtocol> Node for ChaosNode<R> {
 /// Splits one replica's channel logs into the shared (wire-agreed)
 /// channels and the log of its private read-only fast-path channel, if
 /// the broadcast arms one.
-fn split_private_channel<R: ReplicaProtocol>(node: &ChaosNode<R>) -> (Vec<Vec<MOpId>>, Vec<MOpId>) {
-    let mut logs = channel_logs(&node.replica);
+fn split_private_channel<R: ReplicaProtocol>(replica: &R) -> (Vec<Vec<MOpId>>, Vec<MOpId>) {
+    let mut logs = channel_logs(replica);
     let mut private_log = Vec::new();
-    if let Some(c) = node.replica.ordering().private_channel() {
+    if let Some(c) = replica.ordering().private_channel() {
         let c = c as usize;
         if c < logs.len() {
             private_log = std::mem::take(&mut logs[c]);
@@ -504,21 +407,16 @@ fn split_private_channel<R: ReplicaProtocol>(node: &ChaosNode<R>) -> (Vec<Vec<MO
 /// corruption the fast path must never introduce). Returns the number of
 /// violating entries.
 fn private_channel_violations(me: ProcessId, log: &[MOpId], records: &[MOpRecord]) -> u64 {
-    log.iter()
-        .map(|id| {
-            if id.process != me {
-                return 1;
-            }
-            match records.iter().find(|r| r.id == *id) {
-                None => 1,
-                Some(r) => u64::from(
-                    r.ops
+    let read_only_here = |id: &MOpId| {
+        id.process == me
+            && records.iter().any(|r| {
+                r.id == *id
+                    && r.ops
                         .iter()
-                        .any(|op| op.kind == moc_core::op::OpKind::Write),
-                ),
-            }
-        })
-        .sum()
+                        .all(|op| op.kind != moc_core::op::OpKind::Write)
+            })
+    };
+    log.iter().filter(|id| !read_only_here(id)).count() as u64
 }
 
 /// Runs protocol `R` over `scripts` (one per process) on the
@@ -530,55 +428,60 @@ pub fn run_chaos_cluster<R: ReplicaProtocol + 'static>(
     scripts: Vec<ClientScript>,
 ) -> ChaosRunReport {
     let n = scripts.len();
+    run_hosted::<R, _>(config, scripts, |p| ReliableLink::new(p, n, config.link)).0
+}
+
+/// Runs `scripts` on the simulator, one [`SimNode`] per process hosting
+/// `R` over `transport(p)`, and reports everything observed plus each
+/// replica's final store. `config.link` matters only to `transport`.
+pub(crate) fn run_hosted<R, W>(
+    config: &ChaosConfig,
+    scripts: Vec<ClientScript>,
+    transport: impl Fn(ProcessId) -> W,
+) -> (ChaosRunReport, Vec<ReplicaStore>)
+where
+    R: ReplicaProtocol + 'static,
+    W: Transport<R::Msg> + 'static,
+    W::Frame: Clone,
+{
+    let n = scripts.len();
     assert!(n > 0, "need at least one process");
     let sentinel = config
         .monitor
         .clone()
         .map(|mc| Rc::new(RefCell::new(OnlineMonitor::new(config.num_objects, mc))));
-    let nodes: Vec<ChaosNode<R>> = scripts
+    let nodes: Vec<SimNode<R, W>> = scripts
         .into_iter()
         .enumerate()
-        .map(|(p, script)| ChaosNode {
-            me: ProcessId::new(p as u32),
-            n,
-            replica: R::new(
-                ProcessId::new(p as u32),
-                n,
-                config.num_objects,
-                &config.ordering,
-            ),
-            link: ReliableLink::new(ProcessId::new(p as u32), n, config.link),
-            script: script.ops.into(),
-            think_ns: script.think_ns,
-            start_delay_ns: script.start_delay_ns,
-            next_seq: 0,
-            inflight: None,
-            records: Vec::new(),
-            latencies: Vec::new(),
-            think_timer: None,
-            tick_deadline: None,
-            orphan_completions: 0,
-            monitor: sentinel.clone(),
+        .map(|(p, script)| {
+            let me = ProcessId::new(p as u32);
+            let replica = R::new(me, n, config.num_objects, &config.ordering);
+            SimNode {
+                host: ReplicaHost::new(me, n, replica, transport(me)),
+                script: script.ops.into(),
+                start_delay_ns: script.start_delay_ns,
+                think_ns: script.think_ns,
+                think_timer: None,
+                tick_deadline: None,
+                records: Vec::new(),
+                monitor: sentinel.clone(),
+                out: HostOut::default(),
+            }
         })
         .collect();
     let mut world = World::with_faults(nodes, config.network, config.faults.clone(), config.seed);
     let mut events = 0u64;
-    let mut stalled = true;
-    while events < config.max_events {
-        if !world.step() {
-            stalled = false;
-            break;
-        }
+    while events < config.max_events && world.step() {
         events += 1;
     }
     let sim = world.stats();
     let nodes = world.into_nodes();
 
     let mut anomalies = ChaosAnomalies {
-        stalled,
+        stalled: events == config.max_events,
         ..ChaosAnomalies::default()
     };
-    let update_order: Vec<MOpId> = nodes[0].replica.delivery_log().to_vec();
+    let reference = nodes[0].host.replica();
     // Agreement is per ordering channel: single-order broadcasts report
     // one channel (the whole log, so this is the old whole-log check);
     // sharded broadcasts may legitimately interleave commuting channels
@@ -586,43 +489,39 @@ pub fn run_chaos_cluster<R: ReplicaProtocol + 'static>(
     // The replica-private read-only fast-path channel is split off first:
     // its contents never cross the wire and legitimately differ per
     // replica, so it is verified entry-by-entry instead of compared.
-    let (reference_channels, _) = split_private_channel(&nodes[0]);
+    let (reference_channels, _) = split_private_channel(reference);
     let mut private_fast_logs = Vec::with_capacity(nodes.len());
-    for node in &nodes {
-        let (shared, private_log) = split_private_channel(node);
-        if shared != reference_channels {
-            anomalies.delivery_divergence = true;
-        }
+    for (p, node) in nodes.iter().enumerate() {
+        let replica = node.host.replica();
+        let (shared, private_log) = split_private_channel(replica);
+        anomalies.delivery_divergence |= shared != reference_channels;
+        anomalies.store_divergence |= replica.store() != reference.store();
         anomalies.fast_path_violations +=
-            private_channel_violations(node.me, &private_log, &node.records);
+            private_channel_violations(ProcessId::new(p as u32), &private_log, &node.records);
+        anomalies.orphan_completions += node.host.pipeline().orphan_completions;
+        anomalies.unfinished_ops += (node.script.len() + node.host.in_flight()) as u64;
         private_fast_logs.push(private_log);
-        if node.replica.store() != nodes[0].replica.store() {
-            anomalies.store_divergence = true;
-        }
     }
-    let mut records = Vec::new();
-    let mut latencies = Vec::new();
-    let mut replica_metrics = Vec::new();
-    let mut link_stats = Vec::new();
-    let mut view_transcripts = Vec::new();
-    let mut commute_fast_applied = Vec::new();
-    let mut batch_stats = Vec::new();
-    let mut end_ns = 0u64;
-    for node in nodes {
-        anomalies.orphan_completions += node.orphan_completions;
-        anomalies.unfinished_ops += node.script.len() as u64 + u64::from(node.inflight.is_some());
-        for r in &node.records {
-            end_ns = end_ns.max(r.responded_at.as_nanos());
-        }
-        records.extend(node.records);
-        latencies.extend(node.latencies);
-        replica_metrics.push(node.replica.metrics());
-        link_stats.push(node.link.stats());
-        let ordering = node.replica.ordering();
-        view_transcripts.push(ordering.transcript());
-        commute_fast_applied.push(ordering.commute_fast_applied());
-        batch_stats.push(ordering.batch_stats());
-    }
+    let replicas = || nodes.iter().map(|node| node.host.replica());
+    let orderings = || replicas().map(R::ordering);
+    let update_order = reference.delivery_log().to_vec();
+    let replica_metrics = replicas().map(R::metrics).collect();
+    let link_stats = nodes.iter().map(|node| node.host.link_stats()).collect();
+    let view_transcripts = orderings().map(Abcast::transcript).collect();
+    let commute_fast_applied = orderings().map(Abcast::commute_fast_applied).collect();
+    let batch_stats = orderings().map(Abcast::batch_stats).collect();
+    let final_stores = replicas().map(|r| r.store().clone()).collect();
+    let records: Vec<MOpRecord> = nodes.into_iter().flat_map(|node| node.records).collect();
+    let latencies = records
+        .iter()
+        .map(|r| {
+            (
+                r.treated_as,
+                r.responded_at.as_nanos() - r.invoked_at.as_nanos(),
+            )
+        })
+        .collect();
+    let end_ns = records.iter().map(|r| r.responded_at.as_nanos()).max();
     let history = History::new(config.num_objects, records).map_err(|e| e.to_string());
     // All node clones of the sentinel were dropped when the nodes were
     // consumed above, so the unwrap cannot fail.
@@ -630,10 +529,10 @@ pub fn run_chaos_cluster<R: ReplicaProtocol + 'static>(
         let mut mon = Rc::try_unwrap(m)
             .unwrap_or_else(|_| unreachable!("nodes consumed"))
             .into_inner();
-        mon.flush(end_ns + 1);
+        mon.flush(end_ns.unwrap_or(0) + 1);
         mon.into_summary()
     });
-    ChaosRunReport {
+    let report = ChaosRunReport {
         protocol: R::protocol_name(),
         history,
         latencies,
@@ -648,7 +547,8 @@ pub fn run_chaos_cluster<R: ReplicaProtocol + 'static>(
         commute_fast_applied,
         batch_stats,
         monitor,
-    }
+    };
+    (report, final_stores)
 }
 
 #[cfg(test)]
@@ -656,6 +556,7 @@ mod tests {
     use super::*;
     use crate::{MlinOverSequencer, MscOverSequencer, MscOverSharded, MscOverView};
     use moc_core::ids::ObjectId;
+    use moc_core::mop::EventTime;
     use moc_core::program::{reg, ProgramBuilder};
     use moc_sim::DelayModel;
     use std::sync::Arc;

@@ -1,28 +1,31 @@
-//! Simulation harness: hosts protocol replicas on `moc-sim`, drives
-//! scripted clients, and emits validated histories plus metrics.
+//! Simulation harness: runs scripted clients against protocol replicas
+//! on `moc-sim`, and emits validated histories plus metrics.
 //!
 //! Each process is a replica with a co-located client (the paper's model:
 //! processes are sequential and manipulate objects through m-operations,
 //! alternately issuing an invocation and receiving the response). The
 //! client issues the next m-operation of its script only after the previous
-//! one responded, optionally after a think-time delay.
+//! one responded, optionally after a think-time delay. [`run_cluster`] is
+//! the [`crate::chaos`] run with a benign plan and [`Direct`] channels in
+//! place of the reliable link, so no link acks touch its message counts.
 //!
 //! Invocation and response events are stamped with virtual time, so the
 //! resulting [`History`] carries the exact real-time order `~t` needed to
 //! check m-linearizability.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-use moc_abcast::{OrderingConfig, Outbox};
+use moc_abcast::Direct;
 use moc_core::history::History;
-use moc_core::ids::{MOpId, ProcessId};
-use moc_core::mop::{EventTime, MOpClass, MOpRecord};
+use moc_core::ids::MOpId;
+use moc_core::mop::MOpClass;
 use moc_core::program::Program;
+use moc_core::relations::{process_order, reads_from, Relation};
 use moc_core::value::Value;
-use moc_sim::{Context, NetworkConfig, Node, RunStats, TimerId, World};
+use moc_sim::{NetworkConfig, RunStats};
 
-use crate::{channel_logs, MOperation, ReplicaMetrics, ReplicaProtocol};
+use crate::chaos::{run_hosted, ChaosConfig};
+use crate::{ReplicaMetrics, ReplicaProtocol};
 
 /// One m-operation of a client script.
 #[derive(Debug, Clone)]
@@ -132,32 +135,13 @@ impl RunReport {
     /// Mean response time over completed m-operations of `class`, in
     /// nanoseconds; `None` if none completed.
     pub fn mean_latency(&self, class: MOpClass) -> Option<f64> {
-        let xs: Vec<u64> = self
-            .latencies
-            .iter()
-            .filter(|(c, _)| *c == class)
-            .map(|&(_, l)| l)
-            .collect();
-        if xs.is_empty() {
-            return None;
-        }
-        Some(xs.iter().sum::<u64>() as f64 / xs.len() as f64)
+        let xs = of_class(&self.latencies, class);
+        (!xs.is_empty()).then(|| xs.iter().sum::<u64>() as f64 / xs.len() as f64)
     }
 
     /// The p-th percentile (0..=100) response time for `class`.
     pub fn percentile_latency(&self, class: MOpClass, p: f64) -> Option<u64> {
-        let mut xs: Vec<u64> = self
-            .latencies
-            .iter()
-            .filter(|(c, _)| *c == class)
-            .map(|&(_, l)| l)
-            .collect();
-        if xs.is_empty() {
-            return None;
-        }
-        xs.sort_unstable();
-        let rank = ((p / 100.0) * (xs.len() - 1) as f64).round() as usize;
-        Some(xs[rank.min(xs.len() - 1)])
+        percentile(&self.latencies, class, p)
     }
 
     /// Total network messages sent during the run.
@@ -169,177 +153,79 @@ impl RunReport {
     /// m-sequential-consistency relation extended with the broadcast order.
     /// By construction it satisfies the WW-constraint, so Theorem 7's
     /// polynomial checker applies to it.
-    pub fn ww_relation(&self) -> moc_core::relations::Relation {
-        use moc_core::relations::{process_order, reads_from};
-        let mut rel = process_order(&self.history).union(&reads_from(&self.history));
-        for pair in self.update_order.windows(2) {
-            if let (Some(a), Some(b)) = (self.history.idx_of(pair[0]), self.history.idx_of(pair[1]))
-            {
-                rel.add(a, b);
-            }
-        }
-        rel
+    pub fn ww_relation(&self) -> Relation {
+        ww_relation(&self.history, &self.update_order)
     }
 }
 
-/// A replica plus its scripted client, hosted as one simulator node.
-struct ProtoNode<R: ReplicaProtocol> {
-    me: ProcessId,
-    n: usize,
-    replica: R,
-    script: VecDeque<OpSpec>,
-    think_ns: u64,
-    start_delay_ns: u64,
-    next_seq: u32,
-    inflight: Option<(MOpId, u64)>,
-    records: Vec<MOpRecord>,
-    latencies: Vec<(MOpClass, u64)>,
+/// The p-th percentile (0..=100) of the `class` entries of `latencies`.
+pub(crate) fn percentile(latencies: &[(MOpClass, u64)], class: MOpClass, p: f64) -> Option<u64> {
+    let mut xs = of_class(latencies, class);
+    if xs.is_empty() {
+        return None;
+    }
+    xs.sort_unstable();
+    let rank = ((p / 100.0) * (xs.len() - 1) as f64).round() as usize;
+    Some(xs[rank.min(xs.len() - 1)])
 }
 
-impl<R: ReplicaProtocol> ProtoNode<R> {
-    fn relay(&mut self, out: &mut Outbox<R::Msg>, ctx: &mut Context<'_, R::Msg>) {
-        for (to, m) in out.drain() {
-            ctx.send(to, m);
-        }
-    }
-
-    fn invoke_next(&mut self, ctx: &mut Context<'_, R::Msg>) {
-        let Some(spec) = self.script.pop_front() else {
-            return;
-        };
-        let id = MOpId::new(self.me, self.next_seq);
-        self.next_seq += 1;
-        debug_assert!(self.inflight.is_none(), "processes are sequential");
-        self.inflight = Some((id, ctx.now().as_nanos()));
-        let mop = MOperation::new(id, spec.program, spec.args);
-        let mut out = Outbox::new(self.n);
-        self.replica.invoke(mop, &mut out);
-        self.relay(&mut out, ctx);
-        self.drain(ctx);
-    }
-
-    fn drain(&mut self, ctx: &mut Context<'_, R::Msg>) {
-        for c in self.replica.drain_completions() {
-            let (id, invoked_ns) = self
-                .inflight
-                .take()
-                .expect("completion without an inflight m-operation");
-            assert_eq!(c.id, id, "completions must match the inflight op");
-            let now = ctx.now().as_nanos();
-            self.records.push(MOpRecord {
-                id,
-                invoked_at: EventTime::from_nanos(invoked_ns),
-                responded_at: EventTime::from_nanos(now),
-                ops: c.ops,
-                outputs: c.outputs,
-                treated_as: c.treated_as,
-                label: c.label,
-            });
-            self.latencies.push((c.treated_as, now - invoked_ns));
-            if !self.script.is_empty() {
-                ctx.set_timer(self.think_ns.max(1));
-            }
-        }
-    }
+/// The latencies of class `class`.
+fn of_class(latencies: &[(MOpClass, u64)], class: MOpClass) -> Vec<u64> {
+    latencies
+        .iter()
+        .filter_map(|&(c, l)| (c == class).then_some(l))
+        .collect()
 }
 
-impl<R: ReplicaProtocol> Node for ProtoNode<R> {
-    type Msg = R::Msg;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg>) {
-        if !self.script.is_empty() {
-            ctx.set_timer(self.start_delay_ns.max(1));
+/// `~p ∪ ~rf` over `h`, extended with the broadcast order `update_order`
+/// of a protocol run: the `~ww` the WW-constraint check needs.
+pub fn ww_relation(h: &History, update_order: &[MOpId]) -> Relation {
+    let mut rel = process_order(h).union(&reads_from(h));
+    for pair in update_order.windows(2) {
+        if let (Some(a), Some(b)) = (h.idx_of(pair[0]), h.idx_of(pair[1])) {
+            rel.add(a, b);
         }
     }
-
-    fn on_message(&mut self, from: ProcessId, msg: Self::Msg, ctx: &mut Context<'_, Self::Msg>) {
-        let mut out = Outbox::new(self.n);
-        self.replica.on_message(from, msg, &mut out);
-        self.relay(&mut out, ctx);
-        self.drain(ctx);
-    }
-
-    fn on_timer(&mut self, _timer: TimerId, ctx: &mut Context<'_, Self::Msg>) {
-        self.invoke_next(ctx);
-    }
+    rel
 }
 
 /// Runs protocol `R` over the given client scripts (one per process; the
 /// cluster size is `scripts.len()`) and returns the recorded history and
-/// metrics.
+/// metrics. Replicas talk over [`Direct`] channels: the simulator's
+/// network is reliable here, so no link sublayer is needed.
 ///
 /// # Panics
 ///
-/// Panics if the simulation exceeds `config.max_events` (a liveness bug) or
-/// if the recorded history fails validation (a safety bug in the replica
-/// implementation) — both indicate defects in this crate, not user error.
+/// Panics if the simulation exceeds `config.max_events` (a liveness bug),
+/// or if the replicas disagree or the recorded history fails validation
+/// (safety bugs in the replica implementation) — all defects in this
+/// crate, not user error.
 pub fn run_cluster<R: ReplicaProtocol + 'static>(
     config: &ClusterConfig,
     scripts: Vec<ClientScript>,
 ) -> RunReport {
-    let n = scripts.len();
-    assert!(n > 0, "need at least one process");
-    let nodes: Vec<ProtoNode<R>> = scripts
-        .into_iter()
-        .enumerate()
-        .map(|(p, script)| ProtoNode {
-            me: ProcessId::new(p as u32),
-            n,
-            replica: R::new(
-                ProcessId::new(p as u32),
-                n,
-                config.num_objects,
-                &OrderingConfig::default(),
-            ),
-            script: script.ops.into(),
-            think_ns: script.think_ns,
-            start_delay_ns: script.start_delay_ns,
-            next_seq: 0,
-            inflight: None,
-            records: Vec::new(),
-            latencies: Vec::new(),
-        })
-        .collect();
-    let mut world = World::new(nodes, config.network, config.seed);
-    let sim = world.run_until_quiescent(config.max_events);
-    let nodes = world.into_nodes();
-
-    let mut records = Vec::new();
-    let mut latencies = Vec::new();
-    let mut replica_metrics = Vec::new();
-    let update_order: Vec<MOpId> = nodes[0].replica.delivery_log().to_vec();
-    // Agreement is asserted per ordering channel: for single-order
-    // broadcasts this is the whole delivery log; a sharded broadcast may
-    // interleave commuting channels differently per replica, but every
-    // channel's own log must be identical everywhere.
-    let reference_channels = channel_logs(&nodes[0].replica);
-    for node in &nodes {
-        assert_eq!(
-            channel_logs(&node.replica),
-            reference_channels,
-            "replicas disagree on a channel's broadcast order"
-        );
-    }
-    let mut final_stores = Vec::new();
-    for node in nodes {
-        assert!(
-            node.script.is_empty() && node.inflight.is_none(),
-            "client script did not finish: protocol lost an operation"
-        );
-        records.extend(node.records);
-        latencies.extend(node.latencies);
-        replica_metrics.push(node.replica.metrics());
-        final_stores.push(node.replica.store().clone());
-    }
-    let history =
-        History::new(config.num_objects, records).expect("protocol produced an invalid history");
+    let chaos = ChaosConfig::new(config.num_objects, config.seed)
+        .with_network(config.network)
+        .with_max_events(config.max_events);
+    let (report, final_stores) = run_hosted::<R, _>(&chaos, scripts, |_| Direct);
+    // Covers quiescence within the event bound, per-channel agreement on
+    // the broadcast order, no lost or duplicated completion, and store
+    // convergence.
+    assert!(
+        report.anomalies.is_clean(),
+        "protocol misbehaved on a reliable network: {:?}",
+        report.anomalies
+    );
+    let history = report
+        .history
+        .expect("protocol produced an invalid history");
     RunReport {
-        protocol: R::protocol_name(),
+        protocol: report.protocol,
         history,
-        latencies,
-        replica_metrics,
-        sim,
-        update_order,
+        latencies: report.latencies,
+        replica_metrics: report.replica_metrics,
+        sim: report.sim,
+        update_order: report.update_order,
         final_stores,
     }
 }

@@ -22,11 +22,12 @@
 //! ([`store::ReplicaStore`]) together with the per-object version vector
 //! `ts` the correctness proofs revolve around (P 5.3–P 5.8).
 //!
-//! [`harness`] hosts any of these replicas on the deterministic simulator,
-//! co-locating a scripted client with each replica, and emits a validated
-//! [`moc_core::History`] plus latency and message metrics — the raw
-//! material for the Theorem 15/20 validation tests and the benchmark
-//! suite.
+//! [`ReplicaHost`] runs a replica for its co-located client; every host
+//! (simulator, thread runtime, model checker) drives replicas through it.
+//! [`harness`] hosts them on the deterministic simulator with scripted
+//! clients, and emits a validated [`moc_core::History`] plus latency and
+//! message metrics — the raw material for the Theorem 15/20 validation
+//! tests and the benchmark suite.
 
 use std::fmt;
 use std::sync::Arc;
@@ -41,6 +42,7 @@ use moc_core::vv::VersionVector;
 pub mod aggregate;
 pub mod chaos;
 pub mod harness;
+pub mod host;
 pub mod mlin;
 pub mod msc;
 pub mod store;
@@ -48,6 +50,7 @@ pub mod store;
 pub use aggregate::AggregateReplica;
 pub use chaos::{run_chaos_cluster, ChaosAnomalies, ChaosConfig, ChaosRunReport};
 pub use harness::{run_cluster, ClientScript, ClusterConfig, OpSpec, RunReport};
+pub use host::{HostEvent, HostOut, PipelineMetrics, ReplicaHost};
 pub use mlin::{MlinReplica, QueryScope};
 pub use msc::MscReplica;
 pub use store::{ExecRecord, ReplicaStore};
@@ -218,6 +221,7 @@ pub struct ReplicaMetrics {
 /// Replicas are pure state machines: [`ReplicaProtocol::invoke`] and
 /// [`ReplicaProtocol::on_message`] buffer sends in an [`Outbox`] and
 /// surface finished operations via [`ReplicaProtocol::drain_completions`].
+/// Hosts drive them only through [`ReplicaHost`].
 pub trait ReplicaProtocol {
     /// Wire message type.
     type Msg: Clone + fmt::Debug;
@@ -238,8 +242,8 @@ pub trait ReplicaProtocol {
     /// A protocol message arrives.
     fn on_message(&mut self, from: ProcessId, msg: Self::Msg, out: &mut Outbox<Self::Msg>);
 
-    /// Drains m-operations that completed since the last call; the harness
-    /// stamps their response events.
+    /// Drains m-operations that completed since the last call; the
+    /// [`ReplicaHost`] stamps their response events.
     fn drain_completions(&mut self) -> Vec<Completion>;
 
     /// The local object store (for invariant assertions in tests).

@@ -42,14 +42,14 @@
 //! ```
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use moc_abcast::{Abcast, LinkConfig, LinkMsg, OrderingConfig, Outbox, ReliableLink};
+use moc_abcast::{Abcast, LinkConfig, LinkMsg, OrderingConfig, ReliableLink};
 use moc_core::history::History;
 use moc_core::ids::{MOpId, ProcessId};
 use moc_core::mop::{EventTime, MOpClass, MOpRecord};
@@ -57,7 +57,8 @@ use moc_core::program::Program;
 use moc_core::value::Value;
 use moc_monitor::OnlineMonitor;
 pub use moc_monitor::{MonitorConfig, MonitorRunSummary};
-use moc_protocol::{MOperation, ReplicaProtocol};
+pub use moc_protocol::PipelineMetrics;
+use moc_protocol::{HostEvent, HostOut, ReplicaHost, ReplicaProtocol};
 use moc_sim::DelayModel;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -216,44 +217,6 @@ impl RuntimeReport {
     }
 }
 
-/// Counters describing one replica thread's invocation pipeline: how
-/// deep the in-flight window got, how long admissions waited behind the
-/// read-your-writes gate, and whether any reply went unclaimed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PipelineMetrics {
-    /// Invocations accepted by the replica thread.
-    pub invocations: u64,
-    /// Invocations retired (reply generated).
-    pub retired: u64,
-    /// Peak of admitted-but-uncompleted plus gate-queued invocations.
-    pub peak_depth: u64,
-    /// Completions that arrived before an earlier invocation of the same
-    /// process finished (retired strictly FIFO via the stash).
-    pub out_of_order_completions: u64,
-    /// Total time invocations spent queued behind the admission gate
-    /// before reaching the protocol.
-    pub queue_residency_ns: u64,
-    /// Replies whose client had gone away by retirement. A healthy
-    /// harness never drops one.
-    pub dropped_replies: u64,
-}
-
-impl PipelineMetrics {
-    /// Combines counters from two replicas: sums, except `peak_depth`,
-    /// which takes the max.
-    pub fn merge(&self, other: &PipelineMetrics) -> PipelineMetrics {
-        PipelineMetrics {
-            invocations: self.invocations + other.invocations,
-            retired: self.retired + other.retired,
-            peak_depth: self.peak_depth.max(other.peak_depth),
-            out_of_order_completions: self.out_of_order_completions
-                + other.out_of_order_completions,
-            queue_residency_ns: self.queue_residency_ns + other.queue_residency_ns,
-            dropped_replies: self.dropped_replies + other.dropped_replies,
-        }
-    }
-}
-
 /// Rejection returned by [`LiveCluster::try_invoke`] once the online
 /// sentinel has quarantined a process: the containment hook fail-stops
 /// further traffic from the offending replica (mirroring the fixed
@@ -276,12 +239,6 @@ impl std::fmt::Display for Quarantined {
 }
 
 impl std::error::Error for Quarantined {}
-
-/// Events streamed from the replica threads to the sentinel thread.
-enum MonitorEvent {
-    Invoke(MOpId, u64),
-    Complete(Box<MOpRecord>, u64),
-}
 
 enum Input<M> {
     Net {
@@ -314,24 +271,23 @@ enum NetCmd<M> {
 pub struct LiveCluster<R: ReplicaProtocol> {
     inputs: Vec<Sender<Input<LinkMsg<R::Msg>>>>,
     net_tx: Sender<NetCmd<LinkMsg<R::Msg>>>,
-    replica_handles: Vec<JoinHandle<ReplicaExit>>,
+    replica_handles: Vec<JoinHandle<ReplicaExit<R>>>,
     net_handle: JoinHandle<()>,
     invoke_locks: Vec<Mutex<()>>,
     num_objects: usize,
     /// Per-process containment flags, set by the sentinel thread when a
     /// violation latches. All-false without a monitor attached.
     quarantine: Arc<Vec<AtomicBool>>,
-    monitor_tx: Option<Sender<MonitorEvent>>,
+    monitor_tx: Option<Sender<HostEvent>>,
     monitor_handle: Option<JoinHandle<MonitorRunSummary>>,
 }
 
-struct ReplicaExit {
-    records: Vec<MOpRecord>,
-    metrics: moc_protocol::ReplicaMetrics,
-    link_stats: moc_abcast::LinkStats,
-    pipeline: PipelineMetrics,
-    batch: moc_abcast::BatchStats,
-}
+/// A finished replica thread's host, records and dropped-reply count.
+type ReplicaExit<R> = (
+    ReplicaHost<R, ReliableLink<<R as ReplicaProtocol>::Msg>>,
+    Vec<MOpRecord>,
+    u64,
+);
 
 impl<R> LiveCluster<R>
 where
@@ -366,7 +322,7 @@ where
         let (monitor_tx, monitor_handle) = match monitor {
             None => (None, None),
             Some(mcfg) => {
-                let (tx, rx) = unbounded::<MonitorEvent>();
+                let (tx, rx) = unbounded::<HostEvent>();
                 let flags = Arc::clone(&quarantine);
                 let num_objects = config.num_objects;
                 let handle = std::thread::Builder::new()
@@ -382,26 +338,13 @@ where
             let (tx, rx) = unbounded::<Input<LinkMsg<R::Msg>>>();
             inputs.push(tx);
             let net_tx = net_tx.clone();
-            let num_objects = config.num_objects;
-            let link_cfg = config.link;
-            let ordering = config.ordering.clone();
             let sentinel = monitor_tx.clone();
+            let replica = R::new(me, n, config.num_objects, &config.ordering);
+            let host = ReplicaHost::new(me, n, replica, ReliableLink::new(me, n, config.link));
             replica_handles.push(
                 std::thread::Builder::new()
                     .name(format!("replica-{p}"))
-                    .spawn(move || {
-                        replica_main::<R>(
-                            me,
-                            n,
-                            num_objects,
-                            link_cfg,
-                            &ordering,
-                            epoch,
-                            rx,
-                            net_tx,
-                            sentinel,
-                        )
-                    })
+                    .spawn(move || replica_main(me, host, epoch, rx, net_tx, sentinel))
                     .expect("spawn replica thread"),
             );
         }
@@ -519,18 +462,22 @@ where
         for tx in &self.inputs {
             let _ = tx.send(Input::Shutdown);
         }
+        // Hosts drop once their counters are read, before the history is built.
         let mut records = Vec::new();
         let mut replica_metrics = Vec::new();
         let mut link_stats = Vec::new();
         let mut pipeline = Vec::new();
         let mut batch_stats = Vec::new();
         for h in self.replica_handles {
-            let exit = h.join().expect("replica thread panicked");
-            records.extend(exit.records);
-            replica_metrics.push(exit.metrics);
-            link_stats.push(exit.link_stats);
-            pipeline.push(exit.pipeline);
-            batch_stats.push(exit.batch);
+            let (host, recs, dropped_replies) = h.join().expect("replica thread panicked");
+            records.extend(recs);
+            replica_metrics.push(host.replica().metrics());
+            link_stats.push(host.link_stats());
+            pipeline.push(PipelineMetrics {
+                dropped_replies,
+                ..host.pipeline()
+            });
+            batch_stats.push(host.replica().ordering().batch_stats());
         }
         // Every replica-held sender is gone once the threads are joined;
         // dropping ours disconnects the sentinel, which flushes and exits.
@@ -540,16 +487,14 @@ where
             .map(|h| h.join().expect("sentinel thread panicked"));
         let history =
             History::new(self.num_objects, records).expect("runtime produced an invalid history");
-        (
-            RuntimeReport {
-                history,
-                replica_metrics,
-                link_stats,
-                pipeline,
-                batch_stats,
-            },
-            monitor,
-        )
+        let report = RuntimeReport {
+            history,
+            replica_metrics,
+            link_stats,
+            pipeline,
+            batch_stats,
+        };
+        (report, monitor)
     }
 }
 
@@ -637,23 +582,14 @@ impl<R: ReplicaProtocol> Drop for PipelinedSession<'_, R> {
 fn monitor_main(
     num_objects: usize,
     cfg: MonitorConfig,
-    rx: Receiver<MonitorEvent>,
+    rx: Receiver<HostEvent>,
     quarantine: Arc<Vec<AtomicBool>>,
 ) -> MonitorRunSummary {
     let mut mon = OnlineMonitor::new(num_objects, cfg);
     let mut last_ns = 0u64;
     let mut contained = false;
     while let Ok(ev) = rx.recv() {
-        match ev {
-            MonitorEvent::Invoke(id, at_ns) => {
-                last_ns = last_ns.max(at_ns);
-                mon.on_invoke(id, at_ns);
-            }
-            MonitorEvent::Complete(record, at_ns) => {
-                last_ns = last_ns.max(at_ns);
-                mon.on_complete(*record, at_ns);
-            }
-        }
+        last_ns = last_ns.max(ev.feed(&mut mon));
         if contained {
             continue;
         }
@@ -675,237 +611,68 @@ fn monitor_main(
     mon.into_summary()
 }
 
-/// An invocation waiting behind the admission gate: classified but not
-/// yet handed to the protocol.
-struct QueuedInvoke {
-    mop: MOperation,
-    invoked_at: EventTime,
-    reply: Sender<Reply>,
-    is_update: bool,
-}
-
-/// An invocation the protocol is working on, awaiting its completion.
-struct PendingInvoke {
-    id: MOpId,
-    invoked_at: EventTime,
-    reply: Sender<Reply>,
-}
-
-#[allow(clippy::too_many_arguments)]
+/// A replica thread: steps the host on each input and routes its output —
+/// frames to the network, events to the sentinel, replies to clients.
 fn replica_main<R: ReplicaProtocol>(
     me: ProcessId,
-    n: usize,
-    num_objects: usize,
-    link_cfg: LinkConfig,
-    ordering: &OrderingConfig,
+    mut host: ReplicaHost<R, ReliableLink<R::Msg>>,
     epoch: Instant,
     rx: Receiver<Input<LinkMsg<R::Msg>>>,
     net_tx: Sender<NetCmd<LinkMsg<R::Msg>>>,
-    sentinel: Option<Sender<MonitorEvent>>,
-) -> ReplicaExit {
-    let mut replica = R::new(me, n, num_objects, ordering);
-    let mut link: ReliableLink<R::Msg> = ReliableLink::new(me, n, link_cfg);
-    let mut next_seq = 0u32;
+    sentinel: Option<Sender<HostEvent>>,
+) -> ReplicaExit<R> {
+    // One FIFO retirement per invocation: replies queue in invocation order.
+    let mut replies: VecDeque<Sender<Reply>> = VecDeque::new();
     let mut records = Vec::new();
-    // The invocation pipeline. `admission` holds invocations the gate has
-    // not yet let through; `pending` holds invocations the protocol is
-    // working on, in invocation (FIFO) order. Completions may surface out
-    // of that order (e.g. ops on disjoint broadcast channels); they park
-    // in `stash` and retire strictly FIFO so per-process records stay
-    // sequential.
-    let mut admission: VecDeque<QueuedInvoke> = VecDeque::new();
-    let mut pending: VecDeque<PendingInvoke> = VecDeque::new();
-    let mut stash: HashMap<MOpId, moc_protocol::Completion> = HashMap::new();
-    let mut pending_updates_only = true;
-    // High-water mark of recorded response times: pipelined invocations
-    // overlap in real time, but the model's processes are sequential, so
-    // recorded intervals are clamped to start no earlier than the
-    // previous retirement. Client replies keep the true wall-clock times.
-    let mut last_retired = EventTime::ZERO;
-    let mut pipeline = PipelineMetrics::default();
-    // Reused across iterations: the replica's outbox and the framed-wire
-    // buffer, so steady-state message handling does not allocate them
-    // per input.
-    let mut out = Outbox::new(n);
-    let mut wire = Vec::new();
-
-    let now = |epoch: Instant| EventTime::from_nanos(epoch.elapsed().as_nanos() as u64);
+    let mut dropped_replies = 0;
+    // Reused across inputs: the host's frame and event buffers.
+    let mut out = HostOut::default();
+    // One clock read per input; deadline waits count from the latest one.
+    let mut now = 0u64;
 
     loop {
-        // Wake for the next input or the earliest pending deadline —
-        // link retransmission, failover suspicion, or a group-commit
-        // flush — whichever first.
-        let deadline = match (link.next_deadline(), replica.ordering().next_deadline()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let timeout = match deadline {
-            Some(d) => Duration::from_nanos(d.saturating_sub(now(epoch).as_nanos())),
+        let timeout = match host.next_deadline() {
+            Some(d) => Duration::from_nanos(d.saturating_sub(now)),
             None => Duration::from_secs(3600),
         };
-        let input = match rx.recv_timeout(timeout) {
-            Ok(input) => Some(input),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
+        let input = rx.recv_timeout(timeout);
+        now = epoch.elapsed().as_nanos() as u64;
         match input {
-            Some(Input::Net { from, msg }) => {
-                let ready = link.on_wire(from, msg, now(epoch).as_nanos(), &mut wire);
-                for m in ready {
-                    replica.on_message(from, m, &mut out);
-                }
-            }
-            Some(Input::Invoke {
+            Ok(Input::Net { from, msg }) => host.on_frame(from, msg, now, &mut out),
+            Ok(Input::Invoke {
                 program,
                 args,
                 reply,
             }) => {
-                let id = MOpId::new(me, next_seq);
-                next_seq += 1;
-                let invoked_at = now(epoch);
-                if let Some(tx) = &sentinel {
-                    let _ = tx.send(MonitorEvent::Invoke(id, invoked_at.as_nanos()));
-                }
-                let mop = MOperation::new(id, program, args);
-                let is_update = mop.is_update();
-                admission.push_back(QueuedInvoke {
-                    mop,
-                    invoked_at,
-                    reply,
-                    is_update,
-                });
-                pipeline.invocations += 1;
-                pipeline.peak_depth = pipeline
-                    .peak_depth
-                    .max((pending.len() + admission.len()) as u64);
+                replies.push_back(reply);
+                host.invoke(program, args, now, &mut out);
             }
-            Some(Input::Shutdown) => break,
-            // A deadline was reached: run both tick hooks (each only acts
-            // on deadlines that are actually due).
-            None => {
-                link.on_tick(now(epoch).as_nanos(), &mut wire);
-                replica.on_tick(now(epoch).as_nanos(), &mut out);
-            }
+            Ok(Input::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => host.on_tick(now, &mut out),
         }
-        // Retire completions and admit queued invocations until neither
-        // makes progress. Admission can complete synchronously (a local
-        // query) and retirement can open the gate for the next admission,
-        // so the two interleave to a fixpoint.
-        loop {
-            let mut progress = false;
-            for c in replica.drain_completions() {
-                progress = true;
-                let in_pipeline = pending.iter().any(|p| p.id == c.id);
-                if !in_pipeline || stash.contains_key(&c.id) {
-                    // A completion with no pending invocation (or a second
-                    // completion of one): a double-applied broadcast frame
-                    // slipping past a sabotaged link. The healthy stack
-                    // never produces one; instead of crashing the replica,
-                    // surface it to the sentinel (a re-completion of a
-                    // settled id latches its duplicate-completion
-                    // violation) and drop it.
-                    if let Some(tx) = &sentinel {
-                        let at = now(epoch);
-                        let record = MOpRecord {
-                            id: c.id,
-                            invoked_at: at,
-                            responded_at: at,
-                            ops: c.ops,
-                            outputs: c.outputs,
-                            treated_as: c.treated_as,
-                            label: c.label,
-                        };
-                        let _ = tx.send(MonitorEvent::Complete(Box::new(record), at.as_nanos()));
-                    }
-                    continue;
-                }
-                if pending.front().is_some_and(|p| p.id != c.id) {
-                    pipeline.out_of_order_completions += 1;
-                }
-                stash.insert(c.id, c);
+        for ev in out.events.drain(..) {
+            if let Some(tx) = &sentinel {
+                let _ = tx.send(ev.clone());
             }
-            while let Some(front) = pending.front() {
-                let Some(c) = stash.remove(&front.id) else {
-                    break;
+            // Orphans only reach the sentinel: no client waits for them.
+            if let HostEvent::Completed { record, invoked_ns } = ev {
+                let reply = Reply {
+                    id: record.id,
+                    outputs: record.outputs.clone(),
+                    treated_as: record.treated_as,
+                    invoked_at: EventTime::from_nanos(invoked_ns),
+                    responded_at: EventTime::from_nanos(now),
                 };
-                progress = true;
-                let p = pending.pop_front().expect("front exists");
-                if pending.is_empty() {
-                    pending_updates_only = true;
-                }
-                let responded_at = now(epoch);
-                let invoked_rec = p.invoked_at.max(last_retired);
-                let responded_rec = responded_at.max(invoked_rec);
-                last_retired = responded_rec;
-                let record = MOpRecord {
-                    id: p.id,
-                    invoked_at: invoked_rec,
-                    responded_at: responded_rec,
-                    ops: c.ops,
-                    outputs: c.outputs.clone(),
-                    treated_as: c.treated_as,
-                    label: c.label,
-                };
-                if let Some(tx) = &sentinel {
-                    let _ = tx.send(MonitorEvent::Complete(
-                        Box::new(record.clone()),
-                        responded_rec.as_nanos(),
-                    ));
-                }
                 records.push(record);
-                pipeline.retired += 1;
-                if p.reply
-                    .send(Reply {
-                        id: p.id,
-                        outputs: c.outputs,
-                        treated_as: c.treated_as,
-                        invoked_at: p.invoked_at,
-                        responded_at,
-                    })
-                    .is_err()
-                {
-                    pipeline.dropped_replies += 1;
+                let tx = replies.pop_front().expect("one reply per invocation");
+                if tx.send(reply).is_err() {
+                    dropped_replies += 1;
                 }
             }
-            // The gate: an invocation is admitted while earlier ones are
-            // still in flight only when it and everything in flight are
-            // updates. A query waits for the pipeline to drain, so it
-            // observes every earlier update of its own process
-            // (read-your-writes); nothing is admitted past a pending
-            // query.
-            while let Some(head) = admission.front() {
-                let open = pending.is_empty() || (head.is_update && pending_updates_only);
-                if !open {
-                    break;
-                }
-                let q = admission.pop_front().expect("head exists");
-                progress = true;
-                pending_updates_only = if pending.is_empty() {
-                    q.is_update
-                } else {
-                    pending_updates_only && q.is_update
-                };
-                pipeline.queue_residency_ns += now(epoch)
-                    .as_nanos()
-                    .saturating_sub(q.invoked_at.as_nanos());
-                pending.push_back(PendingInvoke {
-                    id: q.mop.id,
-                    invoked_at: q.invoked_at,
-                    reply: q.reply,
-                });
-                replica.invoke(q.mop, &mut out);
-            }
-            if !progress {
-                break;
-            }
         }
-        // Frame the replica's sends through the link, then route. After
-        // shutdown began the network may be gone — those messages have no
-        // waiting client, so dropping them is safe.
-        for (to, msg) in out.drain() {
-            link.send(to, msg, now(epoch).as_nanos(), &mut wire);
-        }
-        for (to, frame) in wire.drain(..) {
+        // After shutdown began the network may be gone — those messages
+        // have no waiting client, so dropping them is safe.
+        for (to, frame) in out.frames.drain(..) {
             let _ = net_tx.send(NetCmd::Route {
                 from: me,
                 to,
@@ -913,13 +680,7 @@ fn replica_main<R: ReplicaProtocol>(
             });
         }
     }
-    ReplicaExit {
-        records,
-        metrics: replica.metrics(),
-        link_stats: link.stats(),
-        pipeline,
-        batch: replica.ordering().batch_stats(),
-    }
+    (host, records, dropped_replies)
 }
 
 /// Fault knobs for the network thread, mirroring the simulator's
@@ -1278,7 +1039,7 @@ mod tests {
     #[test]
     fn sentinel_latches_violation_and_quarantines_culprit() {
         use moc_core::op::CompletedOp;
-        let (tx, rx) = unbounded::<MonitorEvent>();
+        let (tx, rx) = unbounded::<HostEvent>();
         let flags: Arc<Vec<AtomicBool>> =
             Arc::new((0..2).map(|_| AtomicBool::new(false)).collect());
         let cfg = MonitorConfig::new(Condition::MSequentialConsistency).with_window(1);
@@ -1313,10 +1074,18 @@ mod tests {
                 CompletedOp::read(x, 0, MOpId::INITIAL, 0),
             ],
         );
-        tx.send(MonitorEvent::Invoke(a_id, 0)).unwrap();
-        tx.send(MonitorEvent::Invoke(b_id, 0)).unwrap();
-        tx.send(MonitorEvent::Complete(Box::new(a), 10)).unwrap();
-        tx.send(MonitorEvent::Complete(Box::new(b), 10)).unwrap();
+        tx.send(HostEvent::Invoked { id: a_id, at_ns: 0 }).unwrap();
+        tx.send(HostEvent::Invoked { id: b_id, at_ns: 0 }).unwrap();
+        tx.send(HostEvent::Completed {
+            record: a,
+            invoked_ns: 0,
+        })
+        .unwrap();
+        tx.send(HostEvent::Completed {
+            record: b,
+            invoked_ns: 0,
+        })
+        .unwrap();
         drop(tx);
         let summary = handle.join().unwrap();
         let v = summary.violation.as_ref().expect("violation latched");
